@@ -1,9 +1,9 @@
 """Lower bounds on the variance sum, including the classic baselines.
 
-Same spin-1 family as the product demo.  The parallelogram bound is
-optimization-free; the two baselines need a state orthogonal to |psi>
-(mp_sum_1 searches for it, mp_sum_2 uses the normalized projection of
-(A+B)|psi>).
+Same spin-1 family as the product demo.  All three bounds are
+optimization-free; the two baselines need a state orthogonal to |psi>,
+which both take in closed form (mp_sum_1 the normalized projection of
+(A -/+ iB)|psi>, mp_sum_2 that of (A+B)|psi>).
 """
 
 import numpy as np

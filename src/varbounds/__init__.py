@@ -62,7 +62,6 @@ from .optimize import (
     OptimizationReport,
     OptimizerConfig,
     UnitaryParams,
-    optimize_perp_state,
     optimize_product_bound,
     optimize_reverse_product_bound,
     optimize_sum_bound,
@@ -107,7 +106,6 @@ __all__ = [
     "moments",
     "mp_sum_bound_1",
     "mp_sum_bound_2",
-    "optimize_perp_state",
     "optimize_product_bound",
     "optimize_reverse_product_bound",
     "optimize_sum_bound",

@@ -65,6 +65,11 @@ def _optimizer_from_args(args) -> OptimizerConfig | None:
     return OptimizerConfig(**{**OptimizerConfig().__dict__, **set_overrides})
 
 
+def _read_config(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return parse_config(fh.read())
+
+
 def _write(text: str, out: str | None) -> None:
     target = resolve_out_path(out)
     if target is None:
@@ -96,7 +101,7 @@ class _JsonBlob:
 
 
 def _cmd_compute(args) -> int:
-    cfg = parse_config(open(args.config, encoding="utf-8").read())
+    cfg = _read_config(args.config)
     state, obs_a, obs_b = load_instance(cfg)
     bounds = tuple(args.bounds.replace(",", " ").split()) if args.bounds else None
     result = compute_instance(state, obs_a, obs_b, bounds=bounds,
@@ -114,7 +119,7 @@ def _cmd_compute(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.config:
-        spec = load_sweep_spec(parse_config(open(args.config, encoding="utf-8").read()))
+        spec = load_sweep_spec(_read_config(args.config))
     else:
         spec = SweepSpec(preset=args.preset or "fig1")
     overrides = {}
@@ -151,7 +156,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    cfg = parse_config(open(args.config, encoding="utf-8").read())
+    cfg = _read_config(args.config)
     state, obs_a, obs_b = load_instance(cfg)
     opt_cfg = _optimizer_from_args(args) or OptimizerConfig()
     report = _OBJECTIVES[args.objective](state, obs_a, obs_b, cfg=opt_cfg)

@@ -10,10 +10,12 @@ Implemented bounds:
   bounds built from eigenvalue deviations weighted by the fidelities between
   the state and the observables' eigenvectors, sorted ascending;
 * ``mp_sum_bound_1`` / ``mp_sum_bound_2`` - the two classic sum bounds based
-  on a state orthogonal to the system state, kept as comparison baselines.
+  on a state orthogonal to the system state, kept as comparison baselines;
+  both take that state in closed form.
 
 Every function returns a :class:`BoundResult`; lower bounds are always
-defined (preconditions raise instead).
+defined (preconditions raise instead).  Nothing here runs a numerical
+search; the basis-optimized bounds live in :mod:`varbounds.optimize`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 from .errors import DimensionMismatch, MixedStateUnsupported, NumericalConsistencyError
 from .linalg import Observable, OrthonormalBasis, QuantumState, check_dims
 from .moments import deviation_vector, expectation, moments
-from .optimize import OptimizerConfig, optimize_perp_state
 
 __all__ = [
     "BoundResult",
@@ -242,51 +243,34 @@ def mp_perp_candidates(state: QuantumState, a: Observable, b: Observable, sign: 
     return w - psi * np.vdot(psi, w)
 
 
-def mp_sum_bound_1(state: QuantumState, a: Observable, b: Observable,
-                   cfg: OptimizerConfig | None = None) -> BoundResult:
-    """Baseline: max over sign of +/-i<[A,B]> + |<psi|(A +/- iB)|perp>|^2.
+def mp_sum_bound_1(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
+    """Baseline: max over sign of +/-i<[A,B]> + sup_perp |<psi|(A +/- iB)|perp>|^2.
 
-    The perpendicular state is found by :func:`optimize_perp_state`, seeded
-    with the analytic projection candidate for each sign.
+    By Cauchy-Schwarz the supremum over unit vectors orthogonal to the state
+    is ||P_perp (A -/+ iB) psi||^2, attained at the normalized projection
+    (:func:`mp_perp_candidates`), so no search is needed.  ``perp_vector``
+    is that maximizer for the winning sign, or None when the projection is
+    zero.
     """
     if not state.is_pure:
         raise MixedStateUnsupported("this baseline is a pure-state bound")
     check_dims(state, a, b)
-    if cfg is None:
-        cfg = OptimizerConfig(restarts=4)
-    psi = state.vector
     ms = moments(state, a, b)
-    per_sign = {}
-    best = -INF
-    best_sign = 1.0
-    best_perp = None
-    for sign in (1.0, -1.0):
-        term1 = float((sign * 1j * ms.comm_expect).real)
-        op = a.matrix + sign * 1j * b.matrix
-        w = op.conj().T @ psi  # <psi|op|v> = <w|v>
-
-        def objective(v, _w=w):
-            return abs(np.vdot(_w, v)) ** 2
-
-        perp, amp = optimize_perp_state(
-            state, objective, cfg=cfg,
-            seed_vectors=(mp_perp_candidates(state, a, b, sign),),
-            batch_objective=lambda vs, _w=w: np.abs(vs @ np.conj(_w)) ** 2,
-        )
-        per_sign[sign] = term1 + amp
-        if per_sign[sign] > best:
-            best = per_sign[sign]
-            best_sign = sign
-            best_perp = perp
+    proj = {sign: mp_perp_candidates(state, a, b, sign) for sign in (1.0, -1.0)}
+    per_sign = {sign: float((sign * 1j * ms.comm_expect).real) + float(np.vdot(w, w).real)
+                for sign, w in proj.items()}
+    best_sign = 1.0 if per_sign[1.0] >= per_sign[-1.0] else -1.0
+    w = proj[best_sign]
+    norm = np.linalg.norm(w)
     return BoundResult(
         kind="mp_sum_1",
-        value=best,
+        value=per_sign[best_sign],
         baseline=True,
         intermediates={
             "value_plus": per_sign[1.0],
             "value_minus": per_sign[-1.0],
             "sign": best_sign,
-            "perp_vector": best_perp,
+            "perp_vector": w / norm if norm > 0 else None,
         },
     )
 

@@ -1,5 +1,8 @@
 """Derivative-free optimization of basis-dependent variance bounds.
 
+This compass search serves only the basis bounds (product, sum and reverse
+product); every other bound in the package has a closed form.
+
 The search space is the set of complete orthonormal bases, parameterized by
 a fixed-order product of complex Givens rotations (one angle and one phase
 per index pair, ``d(d-1)`` reals total).  The objectives contain absolute
@@ -25,7 +28,6 @@ __all__ = [
     "OptimizationReport",
     "OptimizerConfig",
     "UnitaryParams",
-    "optimize_perp_state",
     "optimize_product_bound",
     "optimize_reverse_product_bound",
     "optimize_sum_bound",
@@ -302,80 +304,3 @@ def optimize_reverse_product_bound(state: QuantumState, a: Observable, b: Observ
                                    cfg: OptimizerConfig | None = None) -> OptimizationReport:
     """Minimize the reverse basis product bound over bases (tightest upper bound)."""
     return _optimize_over_bases(state, a, b, cfg, "reverse_product")
-
-
-def complement_basis(psi: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the complement of ``psi`` as columns, (d, d-1)."""
-    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    d = psi.size
-    alpha = psi[0] / abs(psi[0]) if abs(psi[0]) > 1e-14 else 1.0
-    v = psi + alpha * np.eye(d, dtype=np.complex128)[:, 0]
-    v = v / np.linalg.norm(v)
-    house = np.eye(d, dtype=np.complex128) - 2.0 * np.outer(v, v.conj())
-    return house[:, 1:]
-
-
-def optimize_perp_state(state: QuantumState, objective,
-                        cfg: OptimizerConfig | None = None,
-                        seed_vectors=(),
-                        batch_objective=None) -> tuple[np.ndarray, float]:
-    """Maximize ``objective(v)`` over unit vectors orthogonal to the state.
-
-    ``objective`` maps a complex unit vector to a float.  ``seed_vectors``
-    are deterministic extra starting points (projected onto the complement);
-    the rest of the restart strategy matches the basis optimizers.
-    ``batch_objective``, when given, evaluates a ``(m, d)`` stack of unit
-    vectors at once and is used instead of the scalar callable inside the
-    search loop (the two must agree).  Returns the best vector and value.
-    """
-    if not state.is_pure:
-        raise MixedStateUnsupported("perpendicular-state search needs a pure state")
-    cfg = cfg or OptimizerConfig()
-    psi = state.vector
-    d = psi.size
-    q = complement_basis(psi)
-    kc = d - 1
-
-    def to_vector(params_row):
-        w = params_row[:kc] + 1j * params_row[kc:]
-        n = np.linalg.norm(w)
-        if n < 1e-12:
-            return None
-        return q @ (w / n)
-
-    def reward(params):
-        out = np.full(params.shape[0], -np.inf)
-        w = params[:, :kc] + 1j * params[:, kc:]
-        norms = np.linalg.norm(w, axis=1)
-        ok = norms > 1e-12
-        if np.any(ok):
-            vs = (w[ok] / norms[ok, None]) @ q.T  # (m_ok, d)
-            if batch_objective is not None:
-                out[ok] = batch_objective(vs)
-            else:
-                out[ok] = [objective(v) for v in vs]
-        return out
-
-    starts = [np.concatenate([np.eye(kc)[0], np.zeros(kc)])]
-    for sv in seed_vectors:
-        w = q.conj().T @ np.asarray(sv, dtype=np.complex128).reshape(-1)
-        n = np.linalg.norm(w)
-        if n > 1e-12:
-            w = w / n
-            starts.append(np.concatenate([w.real, w.imag]))
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.restarts):
-        starts.append(rng.standard_normal(2 * kc))
-
-    best_val = -np.inf
-    best_x = starts[0]
-    for x0 in starts:
-        x, val, _, _ = _compass(reward, x0, cfg)
-        if val > best_val:
-            best_val = val
-            best_x = x
-    vec = to_vector(best_x)
-    if vec is None:  # pragma: no cover - degenerate fallback
-        vec = q[:, 0]
-        best_val = float(objective(vec))
-    return vec, float(best_val)

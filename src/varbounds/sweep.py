@@ -9,7 +9,8 @@ Presets:
 * ``fig1`` - spin-1 (Lx, Ly), state family cos(theta)|1> - sin(theta)|0>,
   product bounds (Robertson-Schrodinger, fidelity, basis-optimized);
 * ``fig2`` - same family, sum bounds (parallelogram + the two
-  perpendicular-state baselines);
+  perpendicular-state baselines, both in closed form, so fig2 runs no
+  search);
 * ``fig3`` - qubit (sigma_x, sigma_z) on the Bloch-circle family, reverse
   fidelity product bound;
 * ``fig4`` - same family, Dunkl-Williams variance-sum bound.
@@ -117,7 +118,7 @@ BOUNDS = {
     "basis_sum": _BoundDef("sum", False, True,
                            lambda s, a, b, ctx: basis_sum_bound(s, a, b, _std_basis(s))),
     "mp_sum_1": _BoundDef("sum", False, True,
-                          lambda s, a, b, ctx: mp_sum_bound_1(s, a, b, cfg=ctx.get("mp_cfg"))),
+                          lambda s, a, b, ctx: mp_sum_bound_1(s, a, b)),
     "mp_sum_2": _BoundDef("sum", False, True,
                           lambda s, a, b, ctx: mp_sum_bound_2(s, a, b)),
     "reverse_fidelity_product": _BoundDef("product", True, False,
@@ -264,8 +265,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         raise ConfigError("observable dimension does not match the state family")
 
     thetas = np.linspace(spec.theta_start, spec.theta_stop, spec.theta_count)
-    # mp_sum_1 keeps its own fast default unless a config was given explicitly
-    ctx = {"optimizer": optimizer, "mp_cfg": spec.optimizer}
+    ctx = {"optimizer": optimizer}
 
     columns = ["theta", "exact_product", "exact_sum"]
     need_dev = "dw_deviation_sum" in bound_ids
@@ -332,7 +332,7 @@ def compute_instance(state: QuantumState, obs_a: Observable, obs_b: Observable,
         if bid not in BOUNDS:
             raise UnknownBoundId(f"unknown bound id {bid!r}")
     ms = moments(state, obs_a, obs_b)
-    ctx = {"optimizer": optimizer or OptimizerConfig(restarts=8), "mp_cfg": optimizer}
+    ctx = {"optimizer": optimizer or OptimizerConfig(restarts=8)}
     out = {
         "exact": {
             "product": ms.var_a * ms.var_b,

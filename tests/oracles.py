@@ -44,3 +44,35 @@ def scan_basis_bound_d2(state, a, b, objective="product", resolution=1e-4):
     best, t_c, p_c = grid_max(0.0, np.pi, 0.0, 2 * np.pi, 0.01)
     refined, _, _ = grid_max(t_c - 0.02, t_c + 0.02, p_c - 0.02, p_c + 0.02, resolution)
     return max(best, refined)
+
+
+def mp_sum_1_over(state, a, b, perp):
+    """max over sign of +/-i<[A,B]> + |<psi|(A +/- iB)|v>|^2, best over rows v of ``perp``."""
+    psi = state.vector
+    am = a.matrix
+    bm = b.matrix
+    comm = np.vdot(psi, (am @ bm - bm @ am) @ psi)
+    best = -np.inf
+    for sign in (1.0, -1.0):
+        row = psi.conj() @ (am + sign * 1j * bm)  # <psi|(A +/- iB)
+        best = max(best, float((sign * 1j * comm).real + np.max(np.abs(perp @ row) ** 2)))
+    return best
+
+
+def mp_sum_1_d2(state, a, b):
+    """Exact Maccone-Pati baseline at d=2, where the complement of psi is one ray."""
+    psi = state.vector
+    perp = np.array([[-np.conj(psi[1]), np.conj(psi[0])]])
+    return mp_sum_1_over(state, a, b, perp)
+
+
+def mp_sum_1_sampled(state, a, b, rng, samples=20_000):
+    """Maccone-Pati objective maximized over random unit vectors orthogonal to psi.
+
+    A lower estimate of the supremum; no sample may exceed the true value.
+    """
+    psi = state.vector
+    v = rng.standard_normal((samples, psi.size)) + 1j * rng.standard_normal((samples, psi.size))
+    v -= np.outer(v @ psi.conj(), psi)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return mp_sum_1_over(state, a, b, v)

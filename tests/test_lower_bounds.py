@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_observable, random_pure_state, random_state
+from oracles import mp_sum_1_d2, mp_sum_1_over, mp_sum_1_sampled
 from varbounds.errors import MixedStateUnsupported
 from varbounds.linalg import (
     Observable,
@@ -23,8 +24,7 @@ from varbounds.lower_bounds import (
     sorted_weight_sequences,
     sorted_weighted,
 )
-from varbounds.moments import moments, variance
-from varbounds.optimize import OptimizerConfig
+from varbounds.moments import variance
 
 KET0 = QuantumState.pure([1.0, 0.0])
 SPIN1_TOP = QuantumState.pure([1.0, 0.0, 0.0])
@@ -247,32 +247,52 @@ class TestMpBaselines:
         res = mp_sum_bound_1(KET0, sx, sy)
         assert res.baseline
         assert res.value == pytest.approx(2.0, abs=1e-9)
+        # a common eigenstate leaves no perpendicular component to report
+        diag = mp_sum_bound_1(KET0, Observable(np.diag([1.0, 2.0])), Observable(np.diag([0.5, -0.5])))
+        assert diag.value == 0.0
+        assert diag.intermediates["perp_vector"] is None
 
     def test_mp1_equals_analytic_supremum(self, rng):
-        for d in (2, 3):
+        # d=2: the complement of psi is one ray, so the oracle is exact
+        for _ in range(10):
+            s = random_pure_state(rng, 2)
+            a = random_observable(rng, 2)
+            b = random_observable(rng, 2)
+            res = mp_sum_bound_1(s, a, b)
+            assert res.value == pytest.approx(mp_sum_1_d2(s, a, b), abs=1e-12)
+        # d>2: no sampled perpendicular vector beats the closed form, and the
+        # reported perpendicular vector attains it
+        for d in (3, 4, 5):
             for _ in range(4):
                 s = random_pure_state(rng, d)
                 a = random_observable(rng, d)
                 b = random_observable(rng, d)
-                ms = moments(s, a, b)
-                expected = max(
-                    float((sign * 1j * ms.comm_expect).real)
-                    + np.linalg.norm(mp_perp_candidates(s, a, b, sign)) ** 2
-                    for sign in (1.0, -1.0)
-                )
-                res = mp_sum_bound_1(s, a, b, cfg=OptimizerConfig(restarts=2))
-                assert res.value == pytest.approx(expected, abs=1e-8)
+                res = mp_sum_bound_1(s, a, b)
+                assert mp_sum_1_sampled(s, a, b, rng) <= res.value + 1e-12
+                perp = res.intermediates["perp_vector"]
+                assert np.linalg.norm(perp) == pytest.approx(1.0, abs=1e-12)
+                assert abs(np.vdot(s.vector, perp)) <= 1e-12
+                witness = mp_sum_1_over(s, a, b, perp[None, :])
+                assert witness == pytest.approx(res.value, abs=1e-12 * max(1.0, res.value))
 
     def test_mp1_validity(self, rng):
         lx, ly, _ = spin1_operators()
         theta = np.pi / 4
         s = QuantumState.pure([np.cos(theta), -np.sin(theta), 0.0])
-        res = mp_sum_bound_1(s, lx, ly, cfg=OptimizerConfig(restarts=2))
+        res = mp_sum_bound_1(s, lx, ly)
         assert res.value <= variance(s, lx) + variance(s, ly) + 1e-8
         a = random_observable(rng, 3)
         s2 = random_pure_state(rng, 3)
-        res2 = mp_sum_bound_1(s2, a, a, cfg=OptimizerConfig(restarts=2))
+        res2 = mp_sum_bound_1(s2, a, a)
         assert res2.value <= 2 * variance(s2, a) + 1e-8
+
+    def test_projection_identity(self, rng):
+        # ||P_perp M psi||^2 = Var M for Hermitian M, here with B = 0
+        for d in (2, 3, 4):
+            s = random_pure_state(rng, d)
+            m = Observable(random_observable(rng, d).matrix + random_observable(rng, d).matrix)
+            w = mp_perp_candidates(s, m, Observable(np.zeros((d, d))), 1.0)
+            assert np.linalg.norm(w) ** 2 == pytest.approx(variance(s, m), abs=1e-10)
 
     def test_mp2_spot_and_oracle(self, rng):
         sx, sy, _ = pauli_operators()

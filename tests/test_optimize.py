@@ -12,8 +12,6 @@ from varbounds.optimize import (
     OptimizerConfig,
     UnitaryParams,
     aligned_basis,
-    complement_basis,
-    optimize_perp_state,
     optimize_product_bound,
     optimize_reverse_product_bound,
     optimize_sum_bound,
@@ -187,49 +185,6 @@ class TestOptimizeReverse:
         assert res_std.value == pytest.approx(report.best_value, abs=1e-9)
         finite = [v for _, v in report.trace if np.isfinite(v)]
         assert report.best_value <= min(finite) + 1e-9
-
-
-class TestPerpSearch:
-    def test_d2_complement_is_determined(self):
-        sx, sy, _ = pauli_operators()
-        psi = KET0.vector
-
-        def objective(v):
-            return abs(np.vdot(psi, (sx.matrix + 1j * sy.matrix) @ v)) ** 2
-
-        vec, val = optimize_perp_state(KET0, objective, cfg=FAST)
-        assert abs(np.vdot(psi, vec)) <= 1e-10
-        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-        assert val == pytest.approx(4.0, abs=1e-10)
-
-    def test_constant_objective(self, rng):
-        s = random_pure_state(rng, 3)
-        vec, val = optimize_perp_state(s, lambda v: 3.25, cfg=OptimizerConfig(restarts=0))
-        assert val == 3.25
-        assert abs(np.vdot(s.vector, vec)) <= 1e-10
-
-    def test_projection_identity(self, rng):
-        # max |<perp|(A+B)|psi>|^2 equals the variance of A+B
-        for d in (2, 3, 4):
-            s = random_pure_state(rng, d)
-            a = random_observable(rng, d)
-            b = random_observable(rng, d)
-            m = a.matrix + b.matrix
-
-            def objective(v):
-                return abs(np.vdot(v, m @ s.vector)) ** 2
-
-            _, val = optimize_perp_state(s, objective, cfg=OptimizerConfig(restarts=2))
-            oracle = variance(s, Observable(m))
-            assert val == pytest.approx(oracle, abs=1e-8)
-
-    def test_complement_basis_orthonormal(self, rng):
-        for d in (2, 4, 7):
-            s = random_pure_state(rng, d)
-            q = complement_basis(s.vector)
-            assert q.shape == (d, d - 1)
-            assert np.abs(q.conj().T @ q - np.eye(d - 1)).max() <= 1e-12
-            assert np.abs(q.conj().T @ s.vector).max() <= 1e-12
 
 
 class TestScanAgreement:

@@ -10,7 +10,6 @@ from varbounds.lower_bounds import (
     parallelogram_sum_bound,
     rs_product_bound,
 )
-from varbounds.optimize import OptimizerConfig
 from varbounds.reporting import render_json
 from varbounds.upper_bounds import (
     dw_variance_sum_bound,
@@ -102,7 +101,7 @@ def test_engine_mp1_matches_optimized_baseline():
         state = QuantumState.pure(data["psi"][i])
         a = Observable(data["a"][i])
         b = Observable(data["b"][i])
-        res = mp_sum_bound_1(state, a, b, cfg=OptimizerConfig(restarts=2))
+        res = mp_sum_bound_1(state, a, b)
         assert res.value == pytest.approx(data["mp1"][i], abs=1e-8)
 
 
