@@ -9,8 +9,12 @@ per index pair, ``d(d-1)`` reals total).  The objectives contain absolute
 values and are non-smooth, so a coordinate compass search with step halving
 is used, restarted from three mandatory seeds (standard basis, eigenbasis
 of each observable), one analytic "aligned" seed, and a configurable number
-of random starts.  Everything is deterministic under a fixed RNG seed
-(PCG64 via ``numpy.random.default_rng``).
+of random starts.  The starts run in lockstep: each step sends the
+candidates of every active start through one batched reward call, and each
+start keeps its own point, step, evaluation budget and exit status, so a
+report is bit-identical to running the starts one after another.
+Everything is deterministic under a fixed RNG seed (PCG64 via
+``numpy.random.default_rng``).
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ DEFAULT_SEED = 0xDEBA515
 RNG_NAME = "pcg64"
 
 _HYPOTHESIS_RTOL = 1e-12  # strict positivity threshold of the reverse bound
+# Largest candidate stack, in complex matrix entries (rows * d^2), sent through
+# one reward call; bounds memory at large d and never splits a call at d <= 5.
+_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -118,28 +125,45 @@ def synthesize_basis(params: UnitaryParams) -> OrthonormalBasis:
     return OrthonormalBasis(u)
 
 
-def _compass(reward, x0: np.ndarray, cfg: OptimizerConfig):
-    """Maximize ``reward`` (batched ``(m, k) -> (m,)``) from ``x0``."""
-    x = np.asarray(x0, dtype=float).copy()
-    best = float(reward(x[None, :])[0])
-    evals = 1
-    k = x.size
+def _compass(reward, x0, cfg: OptimizerConfig, chunk: int):
+    """Maximize ``reward`` from every start (row of ``x0``, shape ``(n, k)``) in lockstep.
+
+    ``reward(params, starts)`` scores parameter rows ``(m, k)``, row ``i``
+    belonging to start ``starts[i]``.  Each start keeps its own point, best
+    value, step, evaluation count and exit status and follows the rule of a
+    search run on its own: it moves to the first maximum of its ``2k``
+    candidates when that beats its best by ``tol``, else its step halves; it
+    stops unconverged at ``max_evals`` before it can stop converged below
+    ``step_min``.  Starts share only the reward calls, at most ``chunk`` per call.
+    """
+    x = np.array(x0, dtype=float)
+    n, k = x.shape
+    best = reward(x, np.arange(n))
+    evals = np.ones(n, dtype=int)
+    step = np.full(n, cfg.step_init)
+    converged = np.zeros(n, dtype=bool)
+    active = np.ones(n, dtype=bool)
     directions = np.vstack([np.eye(k), -np.eye(k)])
-    step = cfg.step_init
-    converged = False
-    while evals < cfg.max_evals:
-        if step < cfg.step_min:
-            converged = True
+    while True:
+        active &= evals < cfg.max_evals
+        done = active & (step < cfg.step_min)
+        converged |= done
+        active &= ~done
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
             break
-        cand = x[None, :] + step * directions
-        vals = reward(cand)
-        evals += cand.shape[0]
-        i = int(np.argmax(vals))
-        if vals[i] > best + cfg.tol:
-            x = cand[i]
-            best = float(vals[i])
-        else:
-            step *= 0.5
+        cand = x[idx, None, :] + step[idx, None, None] * directions
+        vals = np.concatenate([
+            reward(cand[c:c + chunk].reshape(-1, k), np.repeat(idx[c:c + chunk], 2 * k))
+            for c in range(0, idx.size, chunk)
+        ]).reshape(idx.size, 2 * k)
+        evals[idx] += 2 * k
+        i = np.argmax(vals, axis=1)
+        top = vals[np.arange(idx.size), i]
+        move = top > best[idx] + cfg.tol
+        x[idx[move]] = cand[move, i[move]]
+        best[idx[move]] = top[move]
+        step[idx[~move]] *= 0.5
     return x, best, evals, converged
 
 
@@ -233,9 +257,9 @@ def _optimize_over_bases(state, a, b, cfg, objective_name):
     g = deviation_vector(state, b)
 
     # min mode: reward = -value, and +inf objective values become -inf rewards
-    def make_reward(u0):
-        def reward(params):
-            u = np.einsum("ij,mjk->mik", u0, synthesize_unitaries(d, params))
+    def make_reward(u0s):
+        def reward(params, starts):
+            u = np.einsum("mij,mjk->mik", u0s[starts], synthesize_unitaries(d, params))
             vals = value_of(_abs_components(u, f), _abs_components(u, g))
             return np.where(np.isfinite(vals), sign * vals, -np.inf)
         return reward
@@ -256,23 +280,22 @@ def _optimize_over_bases(state, a, b, cfg, objective_name):
     for r in range(cfg.restarts):
         runs.append((f"restart_{r}", np.eye(d, dtype=np.complex128), rng.uniform(0.0, 2.0 * math.pi, k)))
 
+    u0s = np.stack([u0 for _, u0, _ in runs])
+    chunk = max(1, _CHUNK_ENTRIES // (2 * k * d * d))
+    xs, r_bests, evals, convs = _compass(make_reward(u0s), [x0 for _, _, x0 in runs], cfg, chunk)
+
     trace = []
     labels = []
-    total_evals = 0
-    all_converged = True
     best_reward = -np.inf
     best_u = np.eye(d, dtype=np.complex128)
-    for idx, (label, u0, x0) in enumerate(runs):
-        reward = make_reward(u0)
-        x, r_best, evals, conv = _compass(reward, x0, cfg)
-        total_evals += evals
-        all_converged = all_converged and conv
+    for idx, (label, u0, _) in enumerate(runs):
+        r_best = r_bests[idx]
         val = sign * r_best  # back to objective scale; may be +/-inf for reverse
         trace.append((idx, float(val)))
         labels.append(label)
         if r_best > best_reward:
             best_reward = r_best
-            best_u = np.einsum("ij,jk->ik", u0, synthesize_unitaries(d, x[None, :])[0])
+            best_u = np.einsum("ij,jk->ik", u0, synthesize_unitaries(d, xs[idx][None, :])[0])
 
     basis = OrthonormalBasis(best_u)
     final = float(value_of(_abs_components(best_u[None], f), _abs_components(best_u[None], g))[0])
@@ -280,8 +303,8 @@ def _optimize_over_bases(state, a, b, cfg, objective_name):
         best_value=final,
         best_basis=basis,
         restarts_used=cfg.restarts,
-        evaluations=total_evals,
-        converged=all_converged,
+        evaluations=int(evals.sum()),
+        converged=bool(convs.all()),
         trace=trace,
         mode=mode,
         start_labels=tuple(labels),

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_observable, random_pure_state
-from oracles import scan_basis_bound_d2
+from oracles import optimize_sequential, scan_basis_bound_d2
+from varbounds import optimize
 from varbounds.errors import BadParameterCount, MixedStateUnsupported
 from varbounds.linalg import Observable, OrthonormalBasis, QuantumState, pauli_operators, spin1_operators
 from varbounds.lower_bounds import basis_product_bound, basis_sum_bound, rs_product_bound
@@ -22,6 +23,11 @@ from varbounds.upper_bounds import reverse_basis_product_bound
 
 KET0 = QuantumState.pure([1.0, 0.0])
 FAST = OptimizerConfig(restarts=4)
+OBJECTIVES = {
+    "product": optimize_product_bound,
+    "sum": optimize_sum_bound,
+    "reverse_product": optimize_reverse_product_bound,
+}
 
 
 class TestSynthesis:
@@ -197,3 +203,63 @@ class TestScanAgreement:
             oracle = scan_basis_bound_d2(s, a, b, "product")
             assert report.best_value == pytest.approx(oracle, abs=1e-6)
             assert report.best_value <= variance(s, a) * variance(s, b) + 1e-10
+
+
+def _instance(seed, d):
+    rng = np.random.default_rng(seed)
+    return random_pure_state(rng, d), random_observable(rng, d), random_observable(rng, d)
+
+
+def _assert_same_report(report, expected):
+    assert report.best_value == expected.best_value
+    assert report.evaluations == expected.evaluations
+    assert report.trace == expected.trace
+    assert report.converged == expected.converged
+    assert report.start_labels == expected.start_labels
+    assert report.best_basis.columns.tobytes() == expected.best_basis.columns.tobytes()
+
+
+class TestLockstepSearch:
+    """The batched search against the sequential per-start oracle, bit for bit."""
+
+    @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_matches_sequential(self, objective, d, seed):
+        s, a, b = _instance(seed, d)
+        cfg = OptimizerConfig(restarts=3, seed=seed)
+        report = OBJECTIVES[objective](s, a, b, cfg=cfg)
+        _assert_same_report(report, optimize_sequential(s, a, b, cfg, objective))
+
+    @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+    @pytest.mark.parametrize("cfg", [
+        OptimizerConfig(restarts=3, max_evals=60),
+        OptimizerConfig(restarts=3, step_min=1e-3),
+    ], ids=["max_evals_60", "step_min_1e-3"])
+    def test_matches_sequential_at_early_exits(self, objective, cfg):
+        s, a, b = _instance(13, 3)
+        report = OBJECTIVES[objective](s, a, b, cfg=cfg)
+        _assert_same_report(report, optimize_sequential(s, a, b, cfg, objective))
+
+    def test_evaluation_cap_wins_over_step_min(self):
+        # Eigenstate of A: the objective is 0 everywhere, so every step halves.
+        # At d=2 ten halvings take pi/4 below 1e-3 exactly as the count
+        # reaches 1 + 10 * 4 = 41: the cap is checked first, so no start converges.
+        sx, _, sz = pauli_operators()
+        cfg = OptimizerConfig(restarts=2, max_evals=41, step_min=1e-3)
+        report = optimize_product_bound(KET0, sz, sx, cfg=cfg)
+        assert report.converged is False
+        assert report.evaluations == 41 * len(report.trace)
+        _assert_same_report(report, optimize_sequential(KET0, sz, sx, cfg, "product"))
+        one_more = OptimizerConfig(restarts=2, max_evals=42, step_min=1e-3)
+        relaxed = optimize_product_bound(KET0, sz, sx, cfg=one_more)
+        assert relaxed.converged is True
+        assert relaxed.evaluations == report.evaluations
+
+    @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+    def test_chunking_does_not_change_the_report(self, objective, monkeypatch):
+        s, a, b = _instance(14, 4)
+        cfg = OptimizerConfig(restarts=3)
+        whole = OBJECTIVES[objective](s, a, b, cfg=cfg)
+        monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", 1)  # one start per reward call
+        _assert_same_report(OBJECTIVES[objective](s, a, b, cfg=cfg), whole)

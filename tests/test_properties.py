@@ -41,6 +41,16 @@ def test_mp_sum_1_bounds_the_variance_sum(seed, d, eigenstate):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, d=DIMS, eigenstate=st.booleans())
+def test_mp_sum_1_equals_the_variance_sum(seed, d, eigenstate):
+    # ||P_perp (A -/+ iB) psi||^2 = Var A + Var B -/+ i<[A,B]>, so the commutator
+    # term cancels and the baseline is attained: it is exact_sum for pure states.
+    psi, a, b, _ = _pure_instance(seed, d, eigenstate)
+    res = mp_sum_bound_1(QuantumState.pure(psi), Observable(a), Observable(b))
+    assert res.value == pytest.approx(_variance(psi, a) + _variance(psi, b), abs=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, d=DIMS, eigenstate=st.booleans())
 def test_mp_sum_1_unitary_covariance(seed, d, eigenstate):
     psi, a, b, rng = _pure_instance(seed, d, eigenstate)
     q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
