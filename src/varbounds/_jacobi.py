@@ -1,7 +1,6 @@
 """Cyclic Jacobi eigensolver for dense Hermitian matrices.
 
-Works on stacks of matrices with shape ``(..., d, d)`` so that ensemble
-verification can diagonalize thousands of small matrices in vectorized
+Works on stacks of matrices with shape ``(..., d, d)`` in vectorized
 sweeps.  Intended for d <= 32; convergence is declared when the
 off-diagonal Frobenius mass drops below ``1e-14 * ||M||_F``.
 

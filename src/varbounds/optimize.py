@@ -256,6 +256,16 @@ def _optimize_over_bases(state, a, b, cfg, objective_name):
     f = deviation_vector(state, a)
     g = deviation_vector(state, b)
 
+    if d == 1:  # no parameters: [[1]] is the only basis, so there is nothing to search
+        return OptimizationReport(
+            best_value=float(value_of(np.abs(f)[None], np.abs(g)[None])[0]),
+            best_basis=OrthonormalBasis(np.ones((1, 1))),
+            restarts_used=0,
+            evaluations=0,
+            converged=True,
+            mode=mode,
+        )
+
     # min mode: reward = -value, and +inf objective values become -inf rewards
     def make_reward(u0s):
         def reward(params, starts):

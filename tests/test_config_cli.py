@@ -139,6 +139,18 @@ class TestCli:
         assert labels[:3] == ["standard", "eigenbasis_a", "eigenbasis_b"]
         assert data["converged"] is True
 
+    @pytest.mark.parametrize("objective", ["product", "sum", "reverse_product"])
+    def test_optimize_one_dimension(self, tmp_path, capsys, objective):
+        cfg = tmp_path / "d1.cfg"
+        cfg.write_text("[state]\nvector = 1+0i\n[observables]\na = 2 ;\nb = -1 ;\n")
+        rc = main(["optimize", "--config", str(cfg), "--objective", objective])
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["best_basis_columns"] == [[[1.0, 0.0]]]
+        assert data["evaluations"] == 0
+        assert data["converged"] is True
+        assert data["best_value"] == ("inf" if objective == "reverse_product" else 0.0)
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[state]\nvector = banana\n[observables]\na = pauli_x\nb = pauli_y\n")

@@ -193,6 +193,21 @@ class TestOptimizeReverse:
         assert report.best_value <= min(finite) + 1e-9
 
 
+class TestOneDimension:
+    """At d=1 there are no parameters and [[1]] is the only basis."""
+
+    @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+    def test_returns_the_only_basis(self, objective):
+        s = QuantumState.pure([1.0])
+        report = OBJECTIVES[objective](s, Observable(np.eye(1)), Observable(-2.0 * np.eye(1)))
+        assert report.best_basis.columns.tolist() == [[1.0]]
+        assert report.evaluations == 0
+        assert report.converged is True
+        # both deviation vectors vanish: the lower bounds are 0 and the
+        # reverse bound's positivity hypothesis fails
+        assert report.best_value == (np.inf if objective == "reverse_product" else 0.0)
+
+
 class TestScanAgreement:
     def test_random_d2_instances(self, rng):
         for _ in range(10):

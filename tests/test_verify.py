@@ -48,11 +48,20 @@ def test_deterministic_reports():
     assert render_json(r1) == render_json(r2)
     r3 = run_verification(120, [2, 4], seed=43)
     assert render_json(r1) != render_json(r3)
+    # the benchmark's ensemble call, through the LAPACK eigensolver
+    first = render_json(run_verification(1000, [2, 3, 4, 6], seed=5))
+    assert render_json(run_verification(1000, [2, 3, 4, 6], seed=5)) == first
 
 
 def test_engine_matches_scalar_api():
+    # the engine diagonalizes with LAPACK and the scalar API with Jacobi
+    for d in (2, 3, 4, 6):
+        _check_engine_against_scalar_api(d)
+
+
+def _check_engine_against_scalar_api(d):
     acc = _Accumulator()
-    data = _verify_dimension(3, 24, seed=11, acc=acc)
+    data = _verify_dimension(d, 24, seed=11, acc=acc)
     assert not acc.violations
     for i in range(24):
         if data["pure"][i]:
