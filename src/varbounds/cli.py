@@ -37,11 +37,14 @@ _OBJECTIVES = {
 
 def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
     base = OptimizerConfig()
-    parser.add_argument("--restarts", type=int, default=None, help=f"random restarts (default {base.restarts})")
-    parser.add_argument("--max-evals", type=int, default=None, help="objective evaluation budget per restart")
-    parser.add_argument("--step-init", type=float, default=None, help="initial compass step")
-    parser.add_argument("--step-min", type=float, default=None, help="terminal compass step")
-    parser.add_argument("--tol", type=float, default=None, help="improvement threshold")
+    group = parser.add_argument_group(
+        "optimizer", "knobs of the reverse_product compass search; the closed-form "
+        "product and sum optima accept and ignore them")
+    group.add_argument("--restarts", type=int, default=None, help=f"random restarts (default {base.restarts})")
+    group.add_argument("--max-evals", type=int, default=None, help="objective evaluation budget per restart")
+    group.add_argument("--step-init", type=float, default=None, help="initial compass step")
+    group.add_argument("--step-min", type=float, default=None, help="terminal compass step")
+    group.add_argument("--tol", type=float, default=None, help="improvement threshold")
 
 
 def _add_io_flags(parser: argparse.ArgumentParser) -> None:
@@ -222,7 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("optimize", help="basis optimization for one instance, with trace")
+    p = sub.add_parser(
+        "optimize", help="basis optimum for one instance, with trace",
+        description="Basis optimum of one instance.  product and sum are closed forms "
+        "(Var A * Var B and (Delta A + Delta B)^2 / 2), reported at their witness basis "
+        "with a one-entry trace; reverse_product is minimized by a compass search, "
+        "the only objective the optimizer flags affect.")
     p.add_argument("--config", required=True)
     p.add_argument("--objective", choices=tuple(_OBJECTIVES), default="product")
     p.add_argument("--seed", type=int, default=None)

@@ -1,19 +1,28 @@
-"""Derivative-free optimization of basis-dependent variance bounds.
+"""Basis optima of the basis-dependent variance bounds.
 
-This compass search serves only the basis bounds (product, sum and reverse
-product); every other bound in the package has a closed form.
+The basis product and sum bounds have closed-form maxima over bases.  By
+Cauchy-Schwarz and the parallelogram law, sum_n |alpha_n||beta_n| <=
+Delta A * Delta B, with equality exactly when |alpha_n| is proportional to
+|beta_n|.  So the maxima are Var A * Var B for the product and
+(Delta A + Delta B)^2 / 2 for the sum.  :func:`aligned_basis` is the witness
+basis that attains both.  :func:`optimize_product_bound` and
+:func:`optimize_sum_bound` return that witness and the bound at it, with no
+search; the optimizer flags do not affect them.
 
-The search space is the set of complete orthonormal bases, parameterized by
-a fixed-order product of complex Givens rotations (one angle and one phase
-per index pair, ``d(d-1)`` reals total).  The objectives contain absolute
-values and are non-smooth, so a coordinate compass search with step halving
-is used, restarted from three mandatory seeds (standard basis, eigenbasis
-of each observable), one analytic "aligned" seed, and a configurable number
-of random starts.  The starts run in lockstep: each step sends the
-candidates of every active start through one batched reward call, and each
-start keeps its own point, step, evaluation budget and exit status, so a
-report is bit-identical to running the starts one after another.
-Everything is deterministic under a fixed RNG seed (PCG64 via
+The reverse (Polya-Szego) product bound has no known closed-form minimum,
+so :func:`optimize_reverse_product_bound` runs a derivative-free search.
+Its knobs are the :class:`OptimizerConfig` fields, and they affect only
+this search.  The search space is the set of complete orthonormal bases,
+parameterized by a fixed-order product of complex Givens rotations (one
+angle and one phase per index pair, ``d(d-1)`` reals total).  The objective
+contains absolute values and is non-smooth, so a coordinate compass search
+with step halving is used.  It is restarted from three mandatory seeds
+(standard basis, eigenbasis of each observable), the aligned seed, and a
+configurable number of random starts.  The starts run in lockstep: each
+step sends the candidates of every active start through one batched reward
+call, and each start keeps its own point, step, evaluation budget and exit
+status, so a report is bit-identical to running the starts one after
+another.  Everything is deterministic under a fixed RNG seed (PCG64 via
 ``numpy.random.default_rng``).
 """
 
@@ -26,7 +35,9 @@ import numpy as np
 
 from .errors import BadParameterCount, MixedStateUnsupported
 from .linalg import Observable, OrthonormalBasis, QuantumState, check_dims
+from .lower_bounds import basis_product_bound, basis_sum_bound
 from .moments import deviation_vector
+from .upper_bounds import POSITIVITY_RTOL
 
 __all__ = [
     "OptimizationReport",
@@ -41,7 +52,6 @@ __all__ = [
 DEFAULT_SEED = 0xDEBA515
 RNG_NAME = "pcg64"
 
-_HYPOTHESIS_RTOL = 1e-12  # strict positivity threshold of the reverse bound
 # Largest candidate stack, in complex matrix entries (rows * d^2), sent through
 # one reward call; bounds memory at large d and never splits a call at d <= 5.
 _CHUNK_ENTRIES = 1 << 18
@@ -49,7 +59,7 @@ _CHUNK_ENTRIES = 1 << 18
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs of the compass search; all are exposed as CLI flags."""
+    """Knobs of the reverse-bound compass search; all are exposed as CLI flags."""
 
     restarts: int = 32
     seed: int = DEFAULT_SEED
@@ -94,7 +104,7 @@ def givens_pair_order(dim: int) -> list[tuple[int, int]]:
 
 
 def synthesize_unitaries(dim: int, params: np.ndarray) -> np.ndarray:
-    """Build a stack of unitaries from parameter rows ``(m, dim*(dim-1))``.
+    """Build a C-contiguous stack ``(m, dim, dim)`` of unitaries from parameter rows ``(m, dim*(dim-1))``.
 
     Row layout: the first ``dim*(dim-1)/2`` entries are rotation angles, the
     rest are phases, both in :func:`givens_pair_order`.
@@ -107,16 +117,24 @@ def synthesize_unitaries(dim: int, params: np.ndarray) -> np.ndarray:
             f"dim {dim} needs {2 * npairs} parameters, got {params.shape[1]}"
         )
     m = params.shape[0]
-    u = np.tile(np.eye(dim, dtype=np.complex128), (m, 1, 1))
+    # u[col, row, candidate]: a Givens update is one contiguous operation per column
+    u = np.zeros((dim, dim, m), dtype=np.complex128)
+    u[np.arange(dim), np.arange(dim)] = 1.0
+    c = np.cos(params[:, :npairs].T).astype(np.complex128)  # the cast a real factor gets anyway
+    s = np.sin(params[:, :npairs].T)
+    w = np.exp(1j * params[:, npairs:].T)
+    sw = s * w
+    msw = -(s * np.conj(w))
+    colp = np.empty((dim, m), dtype=np.complex128)
+    tmp = np.empty_like(colp)
     for k, (p, q) in enumerate(pairs):
-        c = np.cos(params[:, k])
-        s = np.sin(params[:, k])
-        w = np.exp(1j * params[:, npairs + k])
-        colp = u[:, :, p].copy()
-        colq = u[:, :, q]
-        u[:, :, p] = c[:, None] * colp + (s * w)[:, None] * colq
-        u[:, :, q] = -(s * np.conj(w))[:, None] * colp + c[:, None] * colq
-    return u
+        colp[...] = u[p]
+        # u[p] = c colp + sw colq, then u[q] = msw colp + c colq, without temporaries
+        np.multiply(c[k], colp, out=u[p])
+        u[p] += np.multiply(sw[k], u[q], out=tmp)
+        np.multiply(c[k], u[q], out=u[q])
+        u[q] += np.multiply(msw[k], colp, out=tmp)
+    return np.ascontiguousarray(u.transpose(2, 1, 0))
 
 
 def synthesize_basis(params: UnitaryParams) -> OrthonormalBasis:
@@ -208,70 +226,84 @@ def aligned_basis(f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     return _gram_schmidt_complete(cols, f.size)
 
 
-def _abs_components(u_stack: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """|<basis column n | vec>| for a stack of unitaries: shape (m, d)."""
-    return np.abs(np.einsum("mij,i->mj", np.conj(u_stack), vec))
-
-
-def _value_product(aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
-    return np.einsum("mn,mn->m", aa, bb) ** 2
-
-
-def _value_sum(aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
-    return 0.5 * ((aa + bb) ** 2).sum(axis=1)
-
-
 def _value_reverse(aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
-    """Reverse basis bound; +inf where the positivity hypothesis fails."""
-    amax = aa.max(axis=1)
-    amin = aa.min(axis=1)
-    bmax = bb.max(axis=1)
-    bmin = bb.min(axis=1)
-    ok = (amin > _HYPOTHESIS_RTOL * amax) & (bmin > _HYPOTHESIS_RTOL * bmax)
-    out = np.full(aa.shape[0], np.inf)
-    if np.any(ok):
-        lam = (amax[ok] * bmax[ok] + amin[ok] * bmin[ok]) ** 2 / (
-            4.0 * amax[ok] * bmax[ok] * amin[ok] * bmin[ok]
-        )
-        s = np.einsum("mn,mn->m", aa[ok], bb[ok])
-        out[ok] = lam * s**2
-    return out
+    """Reverse basis bound of coefficient moduli ``(m, d)``; +inf where the positivity hypothesis fails."""
+    at = np.ascontiguousarray(aa.T)  # extrema are exact, and fast along contiguous rows
+    bt = np.ascontiguousarray(bb.T)
+    amax = at.max(axis=0)
+    amin = at.min(axis=0)
+    bmax = bt.max(axis=0)
+    bmin = bt.min(axis=0)
+    ok = (amin > POSITIVITY_RTOL * amax) & (bmin > POSITIVITY_RTOL * bmax)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (amax * bmax + amin * bmin) ** 2 / (4.0 * amax * bmax * amin * bmin)
+    s = np.einsum("mn,mn->m", aa, bb)
+    return np.where(ok, lam * s**2, np.inf)
 
 
-_OBJECTIVES = {
-    "product": (_value_product, "max"),
-    "sum": (_value_sum, "max"),
-    "reverse_product": (_value_reverse, "min"),
-}
+def _reverse_values(u: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Reverse bound in each basis of the stack ``u`` (m, d, d), columns as basis vectors."""
+    uc = np.conj(u)
+    return _value_reverse(np.abs(np.einsum("mij,i->mj", uc, f)), np.abs(np.einsum("mij,i->mj", uc, g)))
 
 
-def _optimize_over_bases(state, a, b, cfg, objective_name):
+def _pure_deviations(state, a, b):
+    """Dimension and deviation vectors of a pure state; mixed states raise."""
     if not state.is_pure:
         raise MixedStateUnsupported("basis optimization is a pure-state construction")
-    d = check_dims(state, a, b)
+    return check_dims(state, a, b), deviation_vector(state, a), deviation_vector(state, b)
+
+
+def _only_basis(value: float, mode: str) -> OptimizationReport:
+    """Report at d=1: [[1]] is the only basis, so there is nothing to search."""
+    return OptimizationReport(
+        best_value=value,
+        best_basis=OrthonormalBasis(np.ones((1, 1))),
+        restarts_used=0,
+        evaluations=0,
+        converged=True,
+        mode=mode,
+    )
+
+
+def _at_witness(state, a, b, bound) -> OptimizationReport:
+    """The product/sum maximum: ``bound`` at the aligned basis, with no search.
+
+    When f or g is null every basis gives 0, and the standard basis stands in.
+    """
+    d, f, g = _pure_deviations(state, a, b)
+    if d == 1:
+        return _only_basis(0.0, "max")
+    u = aligned_basis(f, g)
+    basis = OrthonormalBasis.standard(d) if u is None else OrthonormalBasis(u)
+    value = float(bound(state, a, b, basis).value)
+    return OptimizationReport(
+        best_value=value,
+        best_basis=basis,
+        restarts_used=0,
+        evaluations=0,
+        converged=True,
+        trace=[(0, value)],
+        mode="max",
+        start_labels=("aligned",),
+    )
+
+
+def _optimize_over_bases(state, a, b, cfg):
+    """Compass search for the basis minimizing the reverse basis product bound."""
+    d, f, g = _pure_deviations(state, a, b)
     cfg = cfg or OptimizerConfig()
-    value_of, mode = _OBJECTIVES[objective_name]
-    sign = 1.0 if mode == "max" else -1.0
+    if d == 1:
+        return _only_basis(float(_value_reverse(np.abs(f)[None], np.abs(g)[None])[0]), "min")
 
-    f = deviation_vector(state, a)
-    g = deviation_vector(state, b)
-
-    if d == 1:  # no parameters: [[1]] is the only basis, so there is nothing to search
-        return OptimizationReport(
-            best_value=float(value_of(np.abs(f)[None], np.abs(g)[None])[0]),
-            best_basis=OrthonormalBasis(np.ones((1, 1))),
-            restarts_used=0,
-            evaluations=0,
-            converged=True,
-            mode=mode,
-        )
-
-    # min mode: reward = -value, and +inf objective values become -inf rewards
-    def make_reward(u0s):
+    # reward = -value, so +inf (hypothesis fails) becomes -inf
+    def make_reward(u0s, identity):
         def reward(params, starts):
-            u = np.einsum("mij,mjk->mik", u0s[starts], synthesize_unitaries(d, params))
-            vals = value_of(_abs_components(u, f), _abs_components(u, g))
-            return np.where(np.isfinite(vals), sign * vals, -np.inf)
+            u = synthesize_unitaries(d, params)
+            turn = ~identity[starts]  # rows whose start basis is not exactly the identity
+            if turn.any():
+                u[turn] = np.einsum("mij,mjk->mik", u0s[starts[turn]], u[turn])
+            return -_reverse_values(u, f, g)
         return reward
 
     starts = [
@@ -291,49 +323,49 @@ def _optimize_over_bases(state, a, b, cfg, objective_name):
         runs.append((f"restart_{r}", np.eye(d, dtype=np.complex128), rng.uniform(0.0, 2.0 * math.pi, k)))
 
     u0s = np.stack([u0 for _, u0, _ in runs])
+    identity = np.array([np.array_equal(u0, np.eye(d)) for u0 in u0s])
     chunk = max(1, _CHUNK_ENTRIES // (2 * k * d * d))
-    xs, r_bests, evals, convs = _compass(make_reward(u0s), [x0 for _, _, x0 in runs], cfg, chunk)
+    xs, r_bests, evals, convs = _compass(make_reward(u0s, identity), [x0 for _, _, x0 in runs], cfg, chunk)
 
-    trace = []
-    labels = []
-    best_reward = -np.inf
-    best_u = np.eye(d, dtype=np.complex128)
-    for idx, (label, u0, _) in enumerate(runs):
-        r_best = r_bests[idx]
-        val = sign * r_best  # back to objective scale; may be +/-inf for reverse
-        trace.append((idx, float(val)))
-        labels.append(label)
-        if r_best > best_reward:
-            best_reward = r_best
-            best_u = np.einsum("ij,jk->ik", u0, synthesize_unitaries(d, xs[idx][None, :])[0])
-
-    basis = OrthonormalBasis(best_u)
-    final = float(value_of(_abs_components(best_u[None], f), _abs_components(best_u[None], g))[0])
+    trace = [(idx, float(-r_best)) for idx, r_best in enumerate(r_bests)]
+    win = int(np.argmax(r_bests))  # the first start with the best reward
+    if r_bests[win] == -np.inf:  # undefined in every basis tried: report the standard basis
+        best_u = np.eye(d, dtype=np.complex128)
+    else:
+        best_u = np.einsum("ij,jk->ik", u0s[win], synthesize_unitaries(d, xs[win][None, :])[0])
     return OptimizationReport(
-        best_value=final,
-        best_basis=basis,
+        best_value=float(_reverse_values(best_u[None], f, g)[0]),
+        best_basis=OrthonormalBasis(best_u),
         restarts_used=cfg.restarts,
         evaluations=int(evals.sum()),
         converged=bool(convs.all()),
         trace=trace,
-        mode=mode,
-        start_labels=tuple(labels),
+        mode="min",
+        start_labels=tuple(label for label, _, _ in runs),
     )
 
 
 def optimize_product_bound(state: QuantumState, a: Observable, b: Observable,
                            cfg: OptimizerConfig | None = None) -> OptimizationReport:
-    """Maximize the basis product bound (sum_n |alpha_n||beta_n|)^2 over bases."""
-    return _optimize_over_bases(state, a, b, cfg, "product")
+    """Maximum over bases of the basis product bound (sum_n |alpha_n||beta_n|)^2.
+
+    It equals Var A * Var B and is reached at :func:`aligned_basis`, which the
+    report returns with a one-entry trace; ``cfg`` is accepted and unused.
+    """
+    return _at_witness(state, a, b, basis_product_bound)
 
 
 def optimize_sum_bound(state: QuantumState, a: Observable, b: Observable,
                        cfg: OptimizerConfig | None = None) -> OptimizationReport:
-    """Maximize the basis sum bound (1/2) sum_n (|alpha_n|+|beta_n|)^2 over bases."""
-    return _optimize_over_bases(state, a, b, cfg, "sum")
+    """Maximum over bases of the basis sum bound (1/2) sum_n (|alpha_n|+|beta_n|)^2.
+
+    It equals (Delta A + Delta B)^2 / 2 and is reached at :func:`aligned_basis`,
+    which the report returns with a one-entry trace; ``cfg`` is accepted and unused.
+    """
+    return _at_witness(state, a, b, basis_sum_bound)
 
 
 def optimize_reverse_product_bound(state: QuantumState, a: Observable, b: Observable,
                                    cfg: OptimizerConfig | None = None) -> OptimizationReport:
     """Minimize the reverse basis product bound over bases (tightest upper bound)."""
-    return _optimize_over_bases(state, a, b, cfg, "reverse_product")
+    return _optimize_over_bases(state, a, b, cfg)

@@ -9,11 +9,17 @@ Presets:
 * ``fig1`` - spin-1 (Lx, Ly), state family cos(theta)|1> - sin(theta)|0>,
   product bounds (Robertson-Schrodinger, fidelity, basis-optimized);
 * ``fig2`` - same family, sum bounds (parallelogram + the two
-  perpendicular-state baselines, both in closed form, so fig2 runs no
-  search);
+  perpendicular-state baselines);
 * ``fig3`` - qubit (sigma_x, sigma_z) on the Bloch-circle family, reverse
   fidelity product bound;
 * ``fig4`` - same family, Dunkl-Williams variance-sum bound.
+
+Every bound a sweep offers is in closed form, so no sweep runs a search.
+``optimized_product`` and ``optimized_sum`` are the basis bounds at the
+witness basis of :func:`varbounds.optimize.optimize_product_bound` and
+:func:`~varbounds.optimize.optimize_sum_bound`: Var A * Var B and
+(Delta A + Delta B)^2 / 2.  A sweep's optimizer config is accepted and
+recorded in the metadata, but does not change them.
 """
 
 from __future__ import annotations

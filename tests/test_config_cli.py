@@ -135,8 +135,17 @@ class TestCli:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["best_value"] == pytest.approx(2.0, abs=1e-8)
+        # closed form: the witness basis alone, whatever the optimizer flags
+        assert data["trace"] == [{"start": "aligned", "value": data["best_value"]}]
+        assert (data["evaluations"], data["restarts_used"], data["converged"]) == (0, 0, True)
+
+        rc = main(["optimize", "--config", str(cfg), "--objective", "reverse_product",
+                   "--restarts", "2"])
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
         labels = [t["start"] for t in data["trace"]]
-        assert labels[:3] == ["standard", "eigenbasis_a", "eigenbasis_b"]
+        assert labels == ["standard", "eigenbasis_a", "eigenbasis_b", "aligned", "restart_0", "restart_1"]
+        assert data["best_value"] == pytest.approx(1.0, abs=1e-8)  # Var X * Var Y in |0>
         assert data["converged"] is True
 
     @pytest.mark.parametrize("objective", ["product", "sum", "reverse_product"])

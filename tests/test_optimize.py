@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_observable, random_pure_state
-from oracles import optimize_sequential, scan_basis_bound_d2
+from oracles import optimize_sequential, scan_basis_bound_d2, synthesize_unitaries_reference
 from varbounds import optimize
 from varbounds.errors import BadParameterCount, MixedStateUnsupported
 from varbounds.linalg import Observable, OrthonormalBasis, QuantumState, pauli_operators, spin1_operators
@@ -48,6 +48,18 @@ class TestSynthesis:
             for u in us:
                 gram = u.conj().T @ u
                 assert np.abs(gram - np.eye(d)).max() <= 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_reference_bit_for_bit(self, d):
+        rng = np.random.default_rng(100 + d)
+        for m in (1, 2, 3, 5, 8, 13, 31, 64, 100, 127, 128, 255, 256, 333, 499, 500):
+            params = rng.uniform(0, 2 * np.pi, (m, d * (d - 1)))
+            params[1::4, ::2] = 0.0  # zero angles leave zero entries, whose signs must match too
+            us = synthesize_unitaries(d, params)
+            assert us.flags.c_contiguous
+            assert us.shape == (m, d, d)
+            expected = synthesize_unitaries_reference(d, params)
+            assert np.array_equal(us.view(np.uint64), expected.view(np.uint64))
 
     def test_bad_parameter_count(self):
         with pytest.raises(BadParameterCount):
@@ -99,16 +111,6 @@ class TestOptimizeProduct:
         report = optimize_product_bound(s, a, b, cfg=OptimizerConfig(restarts=1))
         for basis in (OrthonormalBasis.standard(3), a.eigenbasis(), b.eigenbasis()):
             assert report.best_value >= basis_product_bound(s, a, b, basis).value - 1e-12
-
-    def test_monotone_in_restarts(self, rng):
-        s = random_pure_state(rng, 3)
-        a = random_observable(rng, 3)
-        b = random_observable(rng, 3)
-        values = [
-            optimize_product_bound(s, a, b, cfg=OptimizerConfig(restarts=r)).best_value
-            for r in (0, 2, 5)
-        ]
-        assert values[0] <= values[1] + 1e-15 and values[1] <= values[2] + 1e-15
 
     def test_deterministic(self, rng):
         s = random_pure_state(rng, 3)
@@ -234,8 +236,29 @@ def _assert_same_report(report, expected):
     assert report.best_basis.columns.tobytes() == expected.best_basis.columns.tobytes()
 
 
+def _assert_matches_search(objective, report, expected):
+    """``report`` against the sequential search ``expected`` of the same objective.
+
+    ``reverse_product`` is searched: the lockstep search must equal the
+    sequential one bit for bit.  ``product`` and ``sum`` are closed forms:
+    the search starts from the witness basis and can only climb, so its
+    optimum must equal the closed form to round-off, early exits included.
+    """
+    if objective == "reverse_product":
+        _assert_same_report(report, expected)
+        return
+    assert report.best_value == pytest.approx(expected.best_value, rel=1e-12, abs=1e-15)
+    assert report.trace == [(0, report.best_value)]
+    assert report.start_labels == ("aligned",)
+    assert (report.evaluations, report.restarts_used, report.converged) == (0, 0, True)
+
+
 class TestLockstepSearch:
-    """The batched search against the sequential per-start oracle, bit for bit."""
+    """The batched search against the sequential per-start oracle.
+
+    The oracle runs the search as it was before the starts were batched,
+    with the kernels as they were then; see :func:`_assert_matches_search`.
+    """
 
     @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -244,7 +267,7 @@ class TestLockstepSearch:
         s, a, b = _instance(seed, d)
         cfg = OptimizerConfig(restarts=3, seed=seed)
         report = OBJECTIVES[objective](s, a, b, cfg=cfg)
-        _assert_same_report(report, optimize_sequential(s, a, b, cfg, objective))
+        _assert_matches_search(objective, report, optimize_sequential(s, a, b, cfg, objective))
 
     @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
     @pytest.mark.parametrize("cfg", [
@@ -254,27 +277,36 @@ class TestLockstepSearch:
     def test_matches_sequential_at_early_exits(self, objective, cfg):
         s, a, b = _instance(13, 3)
         report = OBJECTIVES[objective](s, a, b, cfg=cfg)
-        _assert_same_report(report, optimize_sequential(s, a, b, cfg, objective))
+        _assert_matches_search(objective, report, optimize_sequential(s, a, b, cfg, objective))
 
     def test_evaluation_cap_wins_over_step_min(self):
-        # Eigenstate of A: the objective is 0 everywhere, so every step halves.
-        # At d=2 ten halvings take pi/4 below 1e-3 exactly as the count
-        # reaches 1 + 10 * 4 = 41: the cap is checked first, so no start converges.
+        # Eigenstate of A: the reverse bound is undefined everywhere, so every
+        # step halves.  At d=2 ten halvings take pi/4 below 1e-3 exactly as the
+        # count reaches 1 + 10 * 4 = 41: the cap is checked first, so no start converges.
         sx, _, sz = pauli_operators()
         cfg = OptimizerConfig(restarts=2, max_evals=41, step_min=1e-3)
-        report = optimize_product_bound(KET0, sz, sx, cfg=cfg)
+        report = optimize_reverse_product_bound(KET0, sz, sx, cfg=cfg)
         assert report.converged is False
         assert report.evaluations == 41 * len(report.trace)
-        _assert_same_report(report, optimize_sequential(KET0, sz, sx, cfg, "product"))
+        _assert_same_report(report, optimize_sequential(KET0, sz, sx, cfg, "reverse_product"))
         one_more = OptimizerConfig(restarts=2, max_evals=42, step_min=1e-3)
-        relaxed = optimize_product_bound(KET0, sz, sx, cfg=one_more)
+        relaxed = optimize_reverse_product_bound(KET0, sz, sx, cfg=one_more)
         assert relaxed.converged is True
         assert relaxed.evaluations == report.evaluations
 
-    @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+    @pytest.mark.parametrize("objective", ["reverse_product"])
     def test_chunking_does_not_change_the_report(self, objective, monkeypatch):
         s, a, b = _instance(14, 4)
         cfg = OptimizerConfig(restarts=3)
         whole = OBJECTIVES[objective](s, a, b, cfg=cfg)
         monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", 1)  # one start per reward call
         _assert_same_report(OBJECTIVES[objective](s, a, b, cfg=cfg), whole)
+
+    def test_flags_do_not_change_the_closed_forms(self):
+        s, a, b = _instance(15, 4)
+        for objective in ("product", "sum"):
+            reports = [OBJECTIVES[objective](s, a, b, cfg=cfg)
+                       for cfg in (None, OptimizerConfig(restarts=0), OptimizerConfig(restarts=5, seed=3),
+                                   OptimizerConfig(max_evals=1, step_min=1.0))]
+            for report in reports[1:]:
+                _assert_same_report(report, reports[0])

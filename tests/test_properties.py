@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import random_hermitian
 from varbounds.linalg import Observable, QuantumState
-from varbounds.lower_bounds import mp_sum_bound_1
+from varbounds.lower_bounds import basis_product_bound, basis_sum_bound, mp_sum_bound_1
+from varbounds.optimize import optimize_product_bound, optimize_sum_bound
 
 SEEDS = st.integers(0, 2**32 - 1)
 DIMS = st.integers(2, 5)
@@ -59,3 +60,64 @@ def test_mp_sum_1_unitary_covariance(seed, d, eigenstate):
     after = mp_sum_bound_1(QuantumState.pure(u @ psi), Observable(u @ a @ u.conj().T),
                            Observable(u @ b @ u.conj().T)).value
     assert after == pytest.approx(before, abs=1e-10 * max(1.0, abs(before)))
+
+
+# -- closed-form basis optima ---------------------------------------------------
+# The basis product and sum bounds are maximized over bases by Cauchy-Schwarz
+# equality, |alpha_n| proportional to |beta_n|: the maxima are Var A * Var B and
+# (Delta A + Delta B)^2 / 2.  Variances here are ||(A - <A>) psi||^2, which stays
+# accurate relative to itself near eigenstates; an eigenstate's variance is
+# round-off, so the comparisons keep an absolute floor of 1e-24.
+CLOSED_FORMS = {
+    "product": (optimize_product_bound, basis_product_bound,
+                lambda va, vb: va * vb,
+                lambda aa, bb: np.einsum("mn,mn->m", aa, bb) ** 2),
+    "sum": (optimize_sum_bound, basis_sum_bound,
+            lambda va, vb: 0.5 * (np.sqrt(va) + np.sqrt(vb)) ** 2,
+            lambda aa, bb: 0.5 * ((aa + bb) ** 2).sum(axis=1)),
+}
+
+
+def _deviation(psi, m):
+    mean = np.vdot(psi, m @ psi).real
+    return m @ psi - mean * psi
+
+
+def _haar_unitaries(rng, n, d):
+    g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, d=DIMS, eigenstate=st.booleans(), objective=st.sampled_from(sorted(CLOSED_FORMS)))
+def test_basis_optimum_is_the_closed_form(seed, d, eigenstate, objective):
+    psi, a, b, _ = _pure_instance(seed, d, eigenstate)
+    optimize_bound, _, exact_of, _ = CLOSED_FORMS[objective]
+    f, g = _deviation(psi, a), _deviation(psi, b)
+    exact = exact_of(np.vdot(f, f).real, np.vdot(g, g).real)
+    report = optimize_bound(QuantumState.pure(psi), Observable(a), Observable(b))
+    assert report.best_value == pytest.approx(exact, rel=1e-12, abs=1e-24)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, d=DIMS, eigenstate=st.booleans(), objective=st.sampled_from(sorted(CLOSED_FORMS)))
+def test_basis_optimum_is_attained_at_the_reported_basis(seed, d, eigenstate, objective):
+    psi, a, b, _ = _pure_instance(seed, d, eigenstate)
+    optimize_bound, bound, _, _ = CLOSED_FORMS[objective]
+    state, obs_a, obs_b = QuantumState.pure(psi), Observable(a), Observable(b)
+    report = optimize_bound(state, obs_a, obs_b)
+    assert bound(state, obs_a, obs_b, report.best_basis).value == report.best_value
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS, d=DIMS, eigenstate=st.booleans(), objective=st.sampled_from(sorted(CLOSED_FORMS)))
+def test_no_random_basis_beats_the_basis_optimum(seed, d, eigenstate, objective):
+    psi, a, b, rng = _pure_instance(seed, d, eigenstate)
+    optimize_bound, _, _, value_in = CLOSED_FORMS[objective]
+    best = optimize_bound(QuantumState.pure(psi), Observable(a), Observable(b)).best_value
+    u = _haar_unitaries(rng, 200, d)
+    aa = np.abs(np.einsum("mij,i->mj", u.conj(), _deviation(psi, a)))
+    bb = np.abs(np.einsum("mij,i->mj", u.conj(), _deviation(psi, b)))
+    assert value_in(aa, bb).max() <= best * (1 + 1e-12) + 1e-24
