@@ -9,7 +9,6 @@ experiments as machine-readable tables.
 __version__ = "0.1.0"
 
 from .errors import (
-    BadParameterCount,
     BlochNormExceeded,
     ConfigError,
     DimensionMismatch,
@@ -61,18 +60,15 @@ from .upper_bounds import (
 from .optimize import (
     OptimizationReport,
     OptimizerConfig,
-    UnitaryParams,
     optimize_product_bound,
     optimize_reverse_product_bound,
     optimize_sum_bound,
-    synthesize_basis,
 )
 from .sweep import SweepSpec, SweepTable, compute_instance, run_sweep
 from .verify import VerificationReport, run_verification
 from .reporting import emit
 
 __all__ = [
-    "BadParameterCount",
     "BlochNormExceeded",
     "BoundResult",
     "ConfigError",
@@ -88,7 +84,6 @@ __all__ = [
     "QuantumState",
     "ReverseFactor",
     "SortedWeightSequences",
-    "UnitaryParams",
     "UnknownBoundId",
     "UnknownPreset",
     "VarboundsError",
@@ -124,6 +119,5 @@ __all__ = [
     "run_verification",
     "sorted_weight_sequences",
     "spin1_operators",
-    "synthesize_basis",
     "variance",
 ]

@@ -38,8 +38,8 @@ _OBJECTIVES = {
 def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
     base = OptimizerConfig()
     group = parser.add_argument_group(
-        "optimizer", "knobs of the reverse_product compass search; the closed-form "
-        "product and sum optima accept and ignore them")
+        "optimizer (no effect)", "accepted for compatibility; every basis optimum is a "
+        "closed form, so these flags change no result")
     group.add_argument("--restarts", type=int, default=None, help=f"random restarts (default {base.restarts})")
     group.add_argument("--max-evals", type=int, default=None, help="objective evaluation budget per restart")
     group.add_argument("--step-init", type=float, default=None, help="initial compass step")
@@ -227,10 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "optimize", help="basis optimum for one instance, with trace",
-        description="Basis optimum of one instance.  product and sum are closed forms "
-        "(Var A * Var B and (Delta A + Delta B)^2 / 2), reported at their witness basis "
-        "with a one-entry trace; reverse_product is minimized by a compass search, "
-        "the only objective the optimizer flags affect.")
+        description="Basis optimum of one instance, in closed form: product and sum are "
+        "maxima, Var A * Var B and (Delta A + Delta B)^2 / 2, reached at the aligned basis; "
+        "reverse_product is a minimum, Var A * Var B, reached at the flat basis (all "
+        "coefficient moduli of each deviation vector equal).  The report gives the witness "
+        "basis and a one-entry trace; the optimizer flags have no effect.")
     p.add_argument("--config", required=True)
     p.add_argument("--objective", choices=tuple(_OBJECTIVES), default="product")
     p.add_argument("--seed", type=int, default=None)

@@ -21,10 +21,6 @@ class MixedStateUnsupported(VarboundsError):
     """Operation is defined only for pure states."""
 
 
-class BadParameterCount(VarboundsError):
-    """Unitary parameter vector has the wrong length for its dimension."""
-
-
 class UnknownPreset(VarboundsError):
     """Sweep preset name is not registered."""
 

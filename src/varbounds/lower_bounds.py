@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, MixedStateUnsupported, NumericalConsistencyError
+from .errors import DimensionMismatch, MixedStateUnsupported
 from .linalg import Observable, OrthonormalBasis, QuantumState, check_dims
 from .moments import deviation_vector, expectation, moments
 
@@ -148,39 +148,14 @@ def _alpha_beta(state: QuantumState, a: Observable, b: Observable,
 
 def basis_product_bound(state: QuantumState, a: Observable, b: Observable,
                         basis: OrthonormalBasis) -> BoundResult:
-    """(sum_n |alpha_n| |beta_n|)^2 with alpha_n, beta_n the deviation coefficients.
-
-    The equivalent commutator/anticommutator form is evaluated through actual
-    matrix products and asserted to agree, as an internal consistency check.
-    """
+    """(sum_n |alpha_n| |beta_n|)^2 with alpha_n, beta_n the deviation coefficients."""
     alpha, beta = _alpha_beta(state, a, b, basis)
     aa = np.abs(alpha)
     bb = np.abs(beta)
-    value = float(np.dot(aa, bb) ** 2)
-
-    psi = state.vector
-    abar = a.matrix - expectation(state, a) * np.eye(a.dim)
-    bbar = b.matrix - expectation(state, b) * np.eye(b.dim)
-    acc = 0.0
-    for n in range(basis.dim):
-        col = basis.column(n)
-        bbar_n = np.outer(col, col.conj()) @ bbar
-        comm = abar @ bbar_n - bbar_n @ abar
-        anti = abar @ bbar_n + bbar_n @ abar
-        acc += abs(np.vdot(psi, comm @ psi) + np.vdot(psi, anti @ psi))
-    comm_form = 0.25 * acc**2
-    if abs(value - comm_form) > 1e-10 + 1e-12 * abs(value):
-        raise NumericalConsistencyError(
-            f"coefficient form {value!r} vs commutator form {comm_form!r}"
-        )
     return BoundResult(
         kind="basis_product",
-        value=value,
-        intermediates={
-            "alpha_abs": aa,
-            "beta_abs": bb,
-            "commutator_form_value": comm_form,
-        },
+        value=float(np.dot(aa, bb) ** 2),
+        intermediates={"alpha_abs": aa, "beta_abs": bb},
     )
 
 

@@ -114,8 +114,10 @@ def reverse_basis_product_bound(state: QuantumState, a: Observable, b: Observabl
                                 basis: OrthonormalBasis) -> BoundResult:
     """Lambda * (sum_n |alpha_n||beta_n|)^2 for a pure state and a chosen basis.
 
-    Use :func:`varbounds.optimize.optimize_reverse_product_bound` to minimize
-    this value over bases.
+    By Polya-Szego it is at least ||alpha||^2 ||beta||^2 = Var A * Var B, with
+    equality at a basis where all |alpha_n| are equal and all |beta_n| are
+    equal; :func:`varbounds.optimize.optimize_reverse_product_bound` returns
+    such a basis and this minimum.
     """
     alpha, beta = _alpha_beta(state, a, b, basis)
     aa = np.abs(alpha)

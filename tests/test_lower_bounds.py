@@ -155,6 +155,28 @@ class TestBasisProduct:
                     variance(s, a) * variance(s, b), abs=1e-9
                 )
 
+    def test_commutator_form_identity(self, rng):
+        # |alpha_n||beta_n| = |<psi|[A', P_n B'] + {A', P_n B'}|psi>| / 2 with
+        # A' = A - <A>, B' = B - <B> and P_n = |n><n|, built from matrix products
+        for d in (2, 3, 4, 5, 6):
+            for _ in range(10):
+                s = random_pure_state(rng, d)
+                a = random_observable(rng, d)
+                b = random_observable(rng, d)
+                basis = random_basis(rng, d)
+                psi = s.vector
+                abar = a.matrix - np.vdot(psi, a.matrix @ psi).real * np.eye(d)
+                bbar = b.matrix - np.vdot(psi, b.matrix @ psi).real * np.eye(d)
+                acc = 0.0
+                for n in range(d):
+                    col = basis.column(n)
+                    bbar_n = np.outer(col, col.conj()) @ bbar
+                    comm = abar @ bbar_n - bbar_n @ abar
+                    anti = abar @ bbar_n + bbar_n @ abar
+                    acc += abs(np.vdot(psi, comm @ psi) + np.vdot(psi, anti @ psi))
+                value = basis_product_bound(s, a, b, basis).value
+                assert abs(value - 0.25 * acc**2) <= 1e-10 + 1e-12 * abs(value)
+
     def test_mixed_raises(self, rng):
         from conftest import random_mixed_state
 

@@ -1,23 +1,18 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
-from conftest import random_observable, random_pure_state
-from oracles import optimize_sequential, scan_basis_bound_d2, synthesize_unitaries_reference
-from varbounds import optimize
-from varbounds.errors import BadParameterCount, MixedStateUnsupported
+from conftest import random_hermitian, random_observable, random_pure_state
+from oracles import scan_basis_bound_d2
+from varbounds.errors import MixedStateUnsupported
 from varbounds.linalg import Observable, OrthonormalBasis, QuantumState, pauli_operators, spin1_operators
 from varbounds.lower_bounds import basis_product_bound, basis_sum_bound, rs_product_bound
 from varbounds.moments import variance
 from varbounds.optimize import (
     OptimizerConfig,
-    UnitaryParams,
     aligned_basis,
     optimize_product_bound,
     optimize_reverse_product_bound,
     optimize_sum_bound,
-    synthesize_basis,
-    synthesize_unitaries,
 )
 from varbounds.upper_bounds import reverse_basis_product_bound
 
@@ -28,44 +23,6 @@ OBJECTIVES = {
     "sum": optimize_sum_bound,
     "reverse_product": optimize_reverse_product_bound,
 }
-
-
-class TestSynthesis:
-    def test_zero_angles_identity(self):
-        basis = synthesize_basis(UnitaryParams(dim=3, angles=np.zeros(6)))
-        assert_allclose(basis.columns, np.eye(3), atol=1e-15)
-
-    def test_d2_quarter_rotation(self):
-        basis = synthesize_basis(UnitaryParams(dim=2, angles=[np.pi / 4, 0.0]))
-        s = 1 / np.sqrt(2)
-        assert_allclose(basis.columns[:, 0], [s, s], atol=1e-15)
-        assert_allclose(basis.columns[:, 1], [-s, s], atol=1e-15)
-
-    def test_random_params_orthonormal(self, rng):
-        for d in (2, 3, 4):
-            params = rng.uniform(0, 2 * np.pi, (5, d * (d - 1)))
-            us = synthesize_unitaries(d, params)
-            for u in us:
-                gram = u.conj().T @ u
-                assert np.abs(gram - np.eye(d)).max() <= 1e-10
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-    def test_matches_reference_bit_for_bit(self, d):
-        rng = np.random.default_rng(100 + d)
-        for m in (1, 2, 3, 5, 8, 13, 31, 64, 100, 127, 128, 255, 256, 333, 499, 500):
-            params = rng.uniform(0, 2 * np.pi, (m, d * (d - 1)))
-            params[1::4, ::2] = 0.0  # zero angles leave zero entries, whose signs must match too
-            us = synthesize_unitaries(d, params)
-            assert us.flags.c_contiguous
-            assert us.shape == (m, d, d)
-            expected = synthesize_unitaries_reference(d, params)
-            assert np.array_equal(us.view(np.uint64), expected.view(np.uint64))
-
-    def test_bad_parameter_count(self):
-        with pytest.raises(BadParameterCount):
-            UnitaryParams(dim=3, angles=np.zeros(4))
-        with pytest.raises(BadParameterCount):
-            synthesize_unitaries(3, np.zeros((1, 4)))
 
 
 class TestAlignedSeed:
@@ -180,6 +137,31 @@ class TestOptimizeSum:
             assert report.best_value == pytest.approx(0.5 * (da + db) ** 2, abs=1e-9)
 
 
+def _deviation(psi, m):
+    return m @ psi - np.vdot(psi, m @ psi).real * psi
+
+
+def _assert_flat_optimum(psi, a, b):
+    """The reverse optimum is Var A * Var B, attained where both moduli are flat."""
+    state, obs_a, obs_b = QuantumState.pure(psi), Observable(a), Observable(b)
+    report = optimize_reverse_product_bound(state, obs_a, obs_b)
+    f, g = _deviation(psi, a), _deviation(psi, b)
+    assert report.best_value == pytest.approx(np.vdot(f, f).real * np.vdot(g, g).real, rel=1e-12)
+    res = reverse_basis_product_bound(state, obs_a, obs_b, report.best_basis)
+    assert res.value == report.best_value
+    for moduli in (res.intermediates["alpha_abs"], res.intermediates["beta_abs"]):
+        assert moduli.max() - moduli.min() <= 1e-14 * moduli.max()
+    assert report.trace == [(0, report.best_value)]
+    assert report.start_labels == ("flat",)
+    assert (report.evaluations, report.restarts_used, report.converged, report.mode) == (0, 0, True, "min")
+    return f, g
+
+
+def _unit(rng, d):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
 class TestOptimizeReverse:
     def test_improves_on_fixed_basis(self, rng):
         sx, sy, _ = pauli_operators()
@@ -193,6 +175,44 @@ class TestOptimizeReverse:
         assert res_std.value == pytest.approx(report.best_value, abs=1e-9)
         finite = [v for _, v in report.trace if np.isfinite(v)]
         assert report.best_value <= min(finite) + 1e-9
+
+    def test_parallel_deviations_at_d2(self, rng):
+        # both deviation vectors lie in the one-dimensional complement of psi
+        for _ in range(20):
+            psi = _unit(rng, 2)
+            f, g = _assert_flat_optimum(psi, random_hermitian(rng, 2), random_hermitian(rng, 2))
+            assert abs(np.vdot(f, g)) == pytest.approx(np.linalg.norm(f) * np.linalg.norm(g), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_orthogonal_deviations(self, rng, d):
+        # B = |v><psi| + |psi><v| with v orthogonal to psi and f: B's deviation vector is v
+        psi = _unit(rng, d)
+        a = random_hermitian(rng, d)
+        f = _deviation(psi, a)
+        v = _unit(rng, d)
+        for w in (psi, f / np.linalg.norm(f)):
+            v -= np.vdot(w, v) * w
+        b = np.outer(v, psi.conj())
+        f, g = _assert_flat_optimum(psi, a, b + b.conj().T)
+        assert abs(np.vdot(f, g)) <= 1e-14 * np.linalg.norm(f) * np.linalg.norm(g)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("eps", [1e-9, 1e-4])
+    def test_nearly_parallel_deviations(self, rng, d, eps):
+        psi = _unit(rng, d)
+        a = random_hermitian(rng, d)
+        f, g = _assert_flat_optimum(psi, a, -2.0 * a + eps * random_hermitian(rng, d))
+        assert 1.0 - abs(np.vdot(f, g)) / (np.linalg.norm(f) * np.linalg.norm(g)) <= 1e-8
+
+    def test_eigenstate_gives_inf_at_the_standard_basis(self):
+        # f = 0 exactly: no basis meets the positivity hypothesis, whatever the optimizer flags
+        sx, _, sz = pauli_operators()
+        for cfg in (None, OptimizerConfig(restarts=2, max_evals=41, step_min=1e-3)):
+            report = optimize_reverse_product_bound(KET0, sz, sx, cfg=cfg)
+            assert report.best_value == np.inf
+            assert report.best_basis.columns.tolist() == np.eye(2).tolist()
+            assert report.trace == [(0, np.inf)]
+            assert (report.evaluations, report.converged) == (0, True)
 
 
 class TestOneDimension:
@@ -236,28 +256,29 @@ def _assert_same_report(report, expected):
     assert report.best_basis.columns.tobytes() == expected.best_basis.columns.tobytes()
 
 
-def _assert_matches_search(objective, report, expected):
-    """``report`` against the sequential search ``expected`` of the same objective.
+CLOSED_FORM = {
+    "product": (lambda va, vb: va * vb, "aligned"),
+    "sum": (lambda va, vb: 0.5 * (np.sqrt(va) + np.sqrt(vb)) ** 2, "aligned"),
+    "reverse_product": (lambda va, vb: va * vb, "flat"),
+}
 
-    ``reverse_product`` is searched: the lockstep search must equal the
-    sequential one bit for bit.  ``product`` and ``sum`` are closed forms:
-    the search starts from the witness basis and can only climb, so its
-    optimum must equal the closed form to round-off, early exits included.
-    """
-    if objective == "reverse_product":
-        _assert_same_report(report, expected)
-        return
-    assert report.best_value == pytest.approx(expected.best_value, rel=1e-12, abs=1e-15)
+
+def _assert_matches_search(objective, report, s, a, b):
+    """``report`` is the closed form of ``objective`` at its witness, with a one-entry trace."""
+    f, g = _deviation(s.vector, a.matrix), _deviation(s.vector, b.matrix)
+    exact_of, label = CLOSED_FORM[objective]
+    assert report.best_value == pytest.approx(exact_of(np.vdot(f, f).real, np.vdot(g, g).real),
+                                              rel=1e-12, abs=1e-15)
     assert report.trace == [(0, report.best_value)]
-    assert report.start_labels == ("aligned",)
+    assert report.start_labels == (label,)
     assert (report.evaluations, report.restarts_used, report.converged) == (0, 0, True)
 
 
 class TestLockstepSearch:
-    """The batched search against the sequential per-start oracle.
+    """Seeded instances and early-exit optimizer configs against the closed forms.
 
-    The oracle runs the search as it was before the starts were batched,
-    with the kernels as they were then; see :func:`_assert_matches_search`.
+    The instances and configs are those the basis search was checked on; every
+    objective now returns its closed form whatever the config.
     """
 
     @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
@@ -266,8 +287,7 @@ class TestLockstepSearch:
     def test_matches_sequential(self, objective, d, seed):
         s, a, b = _instance(seed, d)
         cfg = OptimizerConfig(restarts=3, seed=seed)
-        report = OBJECTIVES[objective](s, a, b, cfg=cfg)
-        _assert_matches_search(objective, report, optimize_sequential(s, a, b, cfg, objective))
+        _assert_matches_search(objective, OBJECTIVES[objective](s, a, b, cfg=cfg), s, a, b)
 
     @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
     @pytest.mark.parametrize("cfg", [
@@ -276,35 +296,11 @@ class TestLockstepSearch:
     ], ids=["max_evals_60", "step_min_1e-3"])
     def test_matches_sequential_at_early_exits(self, objective, cfg):
         s, a, b = _instance(13, 3)
-        report = OBJECTIVES[objective](s, a, b, cfg=cfg)
-        _assert_matches_search(objective, report, optimize_sequential(s, a, b, cfg, objective))
-
-    def test_evaluation_cap_wins_over_step_min(self):
-        # Eigenstate of A: the reverse bound is undefined everywhere, so every
-        # step halves.  At d=2 ten halvings take pi/4 below 1e-3 exactly as the
-        # count reaches 1 + 10 * 4 = 41: the cap is checked first, so no start converges.
-        sx, _, sz = pauli_operators()
-        cfg = OptimizerConfig(restarts=2, max_evals=41, step_min=1e-3)
-        report = optimize_reverse_product_bound(KET0, sz, sx, cfg=cfg)
-        assert report.converged is False
-        assert report.evaluations == 41 * len(report.trace)
-        _assert_same_report(report, optimize_sequential(KET0, sz, sx, cfg, "reverse_product"))
-        one_more = OptimizerConfig(restarts=2, max_evals=42, step_min=1e-3)
-        relaxed = optimize_reverse_product_bound(KET0, sz, sx, cfg=one_more)
-        assert relaxed.converged is True
-        assert relaxed.evaluations == report.evaluations
-
-    @pytest.mark.parametrize("objective", ["reverse_product"])
-    def test_chunking_does_not_change_the_report(self, objective, monkeypatch):
-        s, a, b = _instance(14, 4)
-        cfg = OptimizerConfig(restarts=3)
-        whole = OBJECTIVES[objective](s, a, b, cfg=cfg)
-        monkeypatch.setattr(optimize, "_CHUNK_ENTRIES", 1)  # one start per reward call
-        _assert_same_report(OBJECTIVES[objective](s, a, b, cfg=cfg), whole)
+        _assert_matches_search(objective, OBJECTIVES[objective](s, a, b, cfg=cfg), s, a, b)
 
     def test_flags_do_not_change_the_closed_forms(self):
         s, a, b = _instance(15, 4)
-        for objective in ("product", "sum"):
+        for objective in sorted(OBJECTIVES):
             reports = [OBJECTIVES[objective](s, a, b, cfg=cfg)
                        for cfg in (None, OptimizerConfig(restarts=0), OptimizerConfig(restarts=5, seed=3),
                                    OptimizerConfig(max_evals=1, step_min=1.0))]

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from conftest import random_hermitian
 from varbounds.linalg import Observable, QuantumState
 from varbounds.lower_bounds import basis_product_bound, basis_sum_bound, mp_sum_bound_1
-from varbounds.optimize import optimize_product_bound, optimize_sum_bound
+from varbounds.optimize import optimize_product_bound, optimize_reverse_product_bound, optimize_sum_bound
+from varbounds.upper_bounds import reverse_basis_product_bound
 
 SEEDS = st.integers(0, 2**32 - 1)
-DIMS = st.integers(2, 5)
+DIMS = st.integers(2, 6)
 
 
 def _pure_instance(seed, d, eigenstate):
@@ -65,9 +66,20 @@ def test_mp_sum_1_unitary_covariance(seed, d, eigenstate):
 # -- closed-form basis optima ---------------------------------------------------
 # The basis product and sum bounds are maximized over bases by Cauchy-Schwarz
 # equality, |alpha_n| proportional to |beta_n|: the maxima are Var A * Var B and
-# (Delta A + Delta B)^2 / 2.  Variances here are ||(A - <A>) psi||^2, which stays
+# (Delta A + Delta B)^2 / 2.  The reverse product bound is minimized by
+# Polya-Szego equality, all |alpha_n| equal and all |beta_n| equal: the minimum
+# is Var A * Var B.  Variances here are ||(A - <A>) psi||^2, which stays
 # accurate relative to itself near eigenstates; an eigenstate's variance is
 # round-off, so the comparisons keep an absolute floor of 1e-24.
+def _reverse_values(aa, bb):
+    """Lambda * (sum_n |alpha_n||beta_n|)^2 per row; +inf where an entry is not positive."""
+    amax, amin, bmax, bmin = aa.max(axis=1), aa.min(axis=1), bb.max(axis=1), bb.min(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (amax * bmax + amin * bmin) ** 2 / (4.0 * amax * bmax * amin * bmin)
+    ok = (amin > 1e-12 * amax) & (bmin > 1e-12 * bmax)
+    return np.where(ok, lam * np.einsum("mn,mn->m", aa, bb) ** 2, np.inf)
+
+
 CLOSED_FORMS = {
     "product": (optimize_product_bound, basis_product_bound,
                 lambda va, vb: va * vb,
@@ -75,6 +87,9 @@ CLOSED_FORMS = {
     "sum": (optimize_sum_bound, basis_sum_bound,
             lambda va, vb: 0.5 * (np.sqrt(va) + np.sqrt(vb)) ** 2,
             lambda aa, bb: 0.5 * ((aa + bb) ** 2).sum(axis=1)),
+    "reverse_product": (optimize_reverse_product_bound, reverse_basis_product_bound,
+                        lambda va, vb: va * vb,
+                        _reverse_values),
 }
 
 
@@ -108,7 +123,11 @@ def test_basis_optimum_is_attained_at_the_reported_basis(seed, d, eigenstate, ob
     optimize_bound, bound, _, _ = CLOSED_FORMS[objective]
     state, obs_a, obs_b = QuantumState.pure(psi), Observable(a), Observable(b)
     report = optimize_bound(state, obs_a, obs_b)
-    assert bound(state, obs_a, obs_b, report.best_basis).value == report.best_value
+    res = bound(state, obs_a, obs_b, report.best_basis)
+    assert res.value == report.best_value
+    if objective == "reverse_product":
+        for moduli in (res.intermediates["alpha_abs"], res.intermediates["beta_abs"]):
+            assert moduli.max() - moduli.min() <= 1e-14 * moduli.max()
 
 
 @settings(max_examples=30, deadline=None)
@@ -116,8 +135,13 @@ def test_basis_optimum_is_attained_at_the_reported_basis(seed, d, eigenstate, ob
 def test_no_random_basis_beats_the_basis_optimum(seed, d, eigenstate, objective):
     psi, a, b, rng = _pure_instance(seed, d, eigenstate)
     optimize_bound, _, _, value_in = CLOSED_FORMS[objective]
-    best = optimize_bound(QuantumState.pure(psi), Observable(a), Observable(b)).best_value
+    report = optimize_bound(QuantumState.pure(psi), Observable(a), Observable(b))
+    best = report.best_value
     u = _haar_unitaries(rng, 200, d)
     aa = np.abs(np.einsum("mij,i->mj", u.conj(), _deviation(psi, a)))
     bb = np.abs(np.einsum("mij,i->mj", u.conj(), _deviation(psi, b)))
-    assert value_in(aa, bb).max() <= best * (1 + 1e-12) + 1e-24
+    values = value_in(aa, bb)
+    if report.mode == "max":
+        assert values.max() <= best * (1 + 1e-12) + 1e-24
+    else:  # undefined (+inf) values never beat the minimum
+        assert values.min() >= best * (1 - 1e-12) - 1e-24

@@ -12,7 +12,6 @@ from varbounds.linalg import (
 )
 from varbounds.lower_bounds import fidelity_product_bound, parallelogram_sum_bound
 from varbounds.moments import covariance, variance
-from varbounds.optimize import synthesize_unitaries
 from varbounds.upper_bounds import (
     ReverseFactor,
     dw_deviation_sum_bound,
@@ -102,7 +101,8 @@ class TestReverseBasis:
     def test_rotated_basis_validity(self):
         sx, sy, _ = pauli_operators()
         s = QuantumState.pure(np.array([1.0, 1.0]) / np.sqrt(2))
-        u = synthesize_unitaries(2, np.array([[np.pi / 8, 0.0]]))[0]
+        t = np.pi / 8
+        u = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
         res = reverse_basis_product_bound(s, sx, sy, OrthonormalBasis(u))
         assert res.defined
         assert res.value >= variance(s, sx) * variance(s, sy) - 1e-10
