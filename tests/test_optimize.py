@@ -204,16 +204,6 @@ class TestOptimizeReverse:
         f, g = _assert_flat_optimum(psi, a, -2.0 * a + eps * random_hermitian(rng, d))
         assert 1.0 - abs(np.vdot(f, g)) / (np.linalg.norm(f) * np.linalg.norm(g)) <= 1e-8
 
-    def test_eigenstate_gives_inf_at_the_standard_basis(self):
-        # f = 0 exactly: no basis meets the positivity hypothesis, whatever the optimizer flags
-        sx, _, sz = pauli_operators()
-        for cfg in (None, OptimizerConfig(restarts=2, max_evals=41, step_min=1e-3)):
-            report = optimize_reverse_product_bound(KET0, sz, sx, cfg=cfg)
-            assert report.best_value == np.inf
-            assert report.best_basis.columns.tolist() == np.eye(2).tolist()
-            assert report.trace == [(0, np.inf)]
-            assert (report.evaluations, report.converged) == (0, True)
-
 
 class TestOneDimension:
     """At d=1 there are no parameters and [[1]] is the only basis."""
@@ -297,6 +287,20 @@ class TestLockstepSearch:
     def test_matches_sequential_at_early_exits(self, objective, cfg):
         s, a, b = _instance(13, 3)
         _assert_matches_search(objective, OBJECTIVES[objective](s, a, b, cfg=cfg), s, a, b)
+
+    def test_evaluation_cap_wins_over_step_min(self):
+        # Eigenstate of A: f = 0 exactly, so no basis meets the reverse bound's
+        # positivity hypothesis.  The report is +inf at the standard basis with
+        # a one-entry trace, whether or not the evaluation cap (41) is reached
+        # before step_min; the cap and step_min no longer change anything.
+        sx, _, sz = pauli_operators()
+        for cfg in (None, OptimizerConfig(restarts=2, max_evals=41, step_min=1e-3),
+                    OptimizerConfig(restarts=2, max_evals=42, step_min=1e-3)):
+            report = optimize_reverse_product_bound(KET0, sz, sx, cfg=cfg)
+            assert report.best_value == np.inf
+            assert report.best_basis.columns.tolist() == np.eye(2).tolist()
+            assert report.trace == [(0, np.inf)]
+            assert (report.evaluations, report.converged) == (0, True)
 
     def test_flags_do_not_change_the_closed_forms(self):
         s, a, b = _instance(15, 4)
