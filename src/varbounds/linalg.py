@@ -62,7 +62,7 @@ class Observable:
 
     Eigenvalues are ascending; eigenvector columns follow the deterministic
     phase convention of :func:`eigh`, so repeated construction from the same
-    matrix is bit-reproducible.
+    matrix on one machine is bit-reproducible.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -105,9 +105,9 @@ class QuantumState:
             tr = np.trace(r).real
             if abs(tr - 1.0) > 1e-12:
                 raise VarboundsError(f"density matrix trace {tr!r} is not 1 within 1e-12")
-            evals, _ = hermitian_eigh(r)
-            if evals.min() < -1e-10:
-                raise VarboundsError(f"density matrix has eigenvalue {evals.min():.3e} < -1e-10")
+            low = np.linalg.eigvalsh(r)[0]
+            if low < -1e-10:
+                raise VarboundsError(f"density matrix has eigenvalue {low:.3e} < -1e-10")
             self.vector = None
             self.rho = _frozen(r)
         else:
@@ -156,7 +156,7 @@ def eigh(matrix: np.ndarray) -> tuple[np.ndarray, OrthonormalBasis]:
     """
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2:
-        raise VarboundsError("eigh expects a single matrix; see _jacobi.hermitian_eigh for stacks")
+        raise VarboundsError(f"eigh expects a single matrix, got shape {m.shape}")
     w, v = hermitian_eigh(m)
     return w, OrthonormalBasis(v)
 

@@ -15,12 +15,13 @@ basis-dependent checks) and tests every theorem the bound modules promise:
   deterministic subsample.
 
 All math here is vectorized over instances.  The engine diagonalizes its
-observable stacks with LAPACK (``np.linalg.eigh``), not with the scalar
-API's Jacobi solver, and shares only the sequence and pairing kernels
-with it (``sorted_weighted``, ``pairing_sums``, ``parallelogram_values``);
-a test pins the two paths against each other.  Nothing here depends on
-eigenvector phases: only eigenvalues and the fidelities <v|rho|v> are
-used, and GUE spectra are non-degenerate with probability 1.
+observable stacks with ``np.linalg.eigh`` directly, the same LAPACK routine
+behind the scalar API's ``Observable``, and shares the sequence and pairing
+kernels with it (``sorted_weighted``, ``pairing_sums``,
+``parallelogram_values``); a test pins the batched formulas against the
+scalar API's.  Nothing here depends on eigenvector phases: only eigenvalues
+and the fidelities <v|rho|v> are used, and GUE spectra are non-degenerate
+with probability 1.
 
 Any violation means an implementation bug: the inequalities are theorems.
 The report is deterministic under a fixed seed and carries no timestamps:

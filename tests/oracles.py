@@ -36,8 +36,7 @@ def scan_basis_bound_d2(state, a, b, objective="product", resolution=1e-4):
     def grid_max(t0, t1, p0, p1, step):
         th = np.arange(t0, t1 + step / 2, step)
         ph = np.arange(p0, p1 + step / 2, step)
-        tt, pp = np.meshgrid(th, ph, indexing="ij")
-        vals = evaluate(tt, pp)
+        vals = evaluate(th[:, None], ph[None, :])  # trig on the 1-D axes, broadcast to the grid
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         return float(vals[i, j]), float(th[i]), float(ph[j])
 

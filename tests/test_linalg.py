@@ -81,6 +81,35 @@ class TestEigh:
         assert np.abs(v.conj().T @ v - np.eye(4)).max() <= 1e-10
         assert np.abs(v @ np.diag(w) @ v.conj().T - m).max() <= 1e-10
 
+    def test_degenerate_cluster_projectors(self, rng):
+        # the in-cluster vectors are LAPACK's choice; the projector onto each
+        # cluster is not a choice and must match one built from the known basis
+        for spectrum in ([1.0, 1.0, 2.0, 3.0], [-1.0, -1.0, -1.0, 0.5, 2.0, 2.0],
+                         [0.0, 0.0, 0.0, 0.0, 0.0, 4.0, 4.0, 4.0]):
+            d = len(spectrum)
+            u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+            obs = Observable(u @ np.diag(spectrum) @ u.conj().T)
+            v = obs.eigenvectors
+            for value in sorted(set(spectrum)):
+                cluster = np.flatnonzero(np.array(spectrum) == value)
+                ours = v[:, cluster] @ v[:, cluster].conj().T
+                independent = u[:, cluster] @ u[:, cluster].conj().T
+                assert np.abs(ours - independent).max() <= 1e-10
+
+    def test_matches_lapack_up_to_phase(self, rng):
+        for d in (1, 2, 3, 4, 5, 6, 7, 8, 16):
+            obs = Observable(random_hermitian(rng, d))
+            w_ref, v_ref = np.linalg.eigh(obs.matrix)
+            assert_allclose(obs.eigenvalues, w_ref, rtol=0, atol=1e-13)
+            v = obs.eigenvectors
+            phases = np.einsum("ik,ik->k", v_ref.conj(), v)
+            assert_allclose(np.abs(phases), 1.0, rtol=0, atol=1e-12)
+            assert_allclose(v, v_ref * phases, rtol=0, atol=1e-12)
+            # phase convention: the first largest-magnitude component is real positive
+            anchor = np.abs(v).argmax(axis=0)
+            picked = v[anchor, np.arange(d)]
+            assert np.all(picked.imag == 0.0) and np.all(picked.real > 0.0)
+
     def test_batched_matches_scalar(self, rng):
         mats = np.stack([random_hermitian(rng, 4) for _ in range(7)])
         wb, vb = hermitian_eigh(mats)
@@ -185,6 +214,19 @@ class TestStatesAndBases:
             QuantumState.mixed(np.diag([0.7, 0.7]))
         with pytest.raises(VarboundsError):
             QuantumState.mixed(np.diag([1.5, -0.5]))
+
+    def test_mixed_positivity_threshold(self, rng):
+        # a non-diagonal rho whose smallest eigenvalue sits just inside or just
+        # outside the -1e-10 tolerance of the positive-semidefinite check
+        u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        for low, accepted in ((-5e-11, True), (-2e-10, False)):
+            rho = u @ np.diag([low, 0.4, 0.6 - low]) @ u.conj().T
+            assert np.abs(rho - np.diag(np.diag(rho))).max() > 0.1
+            if accepted:
+                assert not QuantumState.mixed(rho).is_pure
+            else:
+                with pytest.raises(VarboundsError, match="eigenvalue"):
+                    QuantumState.mixed(rho)
 
     def test_basis_gram_check(self):
         with pytest.raises(VarboundsError):

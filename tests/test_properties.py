@@ -5,11 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hermitian
-from varbounds.linalg import Observable, QuantumState
-from varbounds.lower_bounds import basis_product_bound, basis_sum_bound, mp_sum_bound_1
+from conftest import random_hermitian, random_mixed_state, random_pure_state
+from varbounds.linalg import Observable, OrthonormalBasis, QuantumState
+from varbounds.lower_bounds import (
+    basis_product_bound,
+    basis_sum_bound,
+    fidelity_product_bound,
+    mp_sum_bound_1,
+    mp_sum_bound_2,
+    parallelogram_sum_bound,
+    rs_product_bound,
+)
 from varbounds.optimize import optimize_product_bound, optimize_reverse_product_bound, optimize_sum_bound
-from varbounds.upper_bounds import reverse_basis_product_bound
+from varbounds.upper_bounds import (
+    dw_deviation_sum_bound,
+    dw_variance_sum_bound,
+    reverse_basis_product_bound,
+    reverse_fidelity_product_bound,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 DIMS = st.integers(2, 6)
@@ -145,3 +158,70 @@ def test_no_random_basis_beats_the_basis_optimum(seed, d, eigenstate, objective)
         assert values.max() <= best * (1 + 1e-12) + 1e-24
     else:  # undefined (+inf) values never beat the minimum
         assert values.min() >= best * (1 - 1e-12) - 1e-24
+
+
+# -- unitary covariance ---------------------------------------------------------
+# Every bound is a function of (state, A, B), and of the basis for the basis
+# bounds, so conjugating all of them by one unitary U must leave it unchanged.
+# The ten search-free bounds, each as (state, A, B, basis) -> BoundResult; the
+# pure-only ones are skipped for mixed states.
+COVARIANT_BOUNDS = {
+    "rs_product": (False, lambda s, a, b, w: rs_product_bound(s, a, b)),
+    "basis_product": (True, basis_product_bound),
+    "fidelity_product": (False, lambda s, a, b, w: fidelity_product_bound(s, a, b)),
+    "parallelogram_sum": (False, lambda s, a, b, w: parallelogram_sum_bound(s, a, b)),
+    "basis_sum": (True, basis_sum_bound),
+    "mp_sum_2": (True, lambda s, a, b, w: mp_sum_bound_2(s, a, b)),
+    "reverse_fidelity_product": (False, lambda s, a, b, w: reverse_fidelity_product_bound(s, a, b)),
+    "reverse_basis_product": (True, reverse_basis_product_bound),
+    "dw_deviation_sum": (False, lambda s, a, b, w: dw_deviation_sum_bound(s, a, b)),
+    "dw_variance_sum": (False, lambda s, a, b, w: dw_variance_sum_bound(s, a, b)),
+}
+
+
+def _conjugated_values(u, state, a, b, basis, names):
+    """Bound values (``+inf`` where undefined) for the instance conjugated by ``u``."""
+    ud = u.conj().T
+    if state.is_pure:
+        state = QuantumState.pure(u @ state.vector)
+    else:
+        state = QuantumState.mixed(u @ state.rho @ ud)
+    a = Observable(u @ a.matrix @ ud)
+    b = Observable(u @ b.matrix @ ud)
+    basis = OrthonormalBasis(u @ basis.columns)
+    return {name: COVARIANT_BOUNDS[name][1](state, a, b, basis).value for name in names}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, d=DIMS, pure=st.booleans())
+def test_search_free_bounds_are_unitarily_covariant(seed, d, pure):
+    # GUE pairs are non-degenerate with probability 1, so each eigenvector is
+    # fixed up to its phase and no bound may depend on the solver's choices.
+    rng = np.random.default_rng(seed)
+    a, b = Observable(random_hermitian(rng, d)), Observable(random_hermitian(rng, d))
+    state = random_pure_state(rng, d) if pure else random_mixed_state(rng, d)
+    basis = OrthonormalBasis(_haar_unitaries(rng, 1, d)[0])
+    names = [n for n, (pure_only, _) in COVARIANT_BOUNDS.items() if pure or not pure_only]
+    before = _conjugated_values(np.eye(d), state, a, b, basis, names)
+    after = _conjugated_values(_haar_unitaries(rng, 1, d)[0], state, a, b, basis, names)
+    for name in names:
+        assert after[name] == pytest.approx(before[name], rel=1e-10), name
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: on a degenerate spectrum the fidelity sequences "
+                          "depend on the eigenvectors the solver picks inside the cluster")
+def test_fidelity_bounds_on_a_degenerate_spectrum_are_unitarily_covariant():
+    rng = np.random.default_rng(20240811)
+    state = random_pure_state(rng, 3)
+    a = Observable(np.diag([1.0, 1.0, -1.0]))
+    b = Observable(random_hermitian(rng, 3))
+    basis = OrthonormalBasis.standard(3)
+    names = ("fidelity_product", "parallelogram_sum", "reverse_fidelity_product")
+    before = _conjugated_values(np.eye(3), state, a, b, basis, names)
+    moved = {name: 0.0 for name in names}
+    for u in _haar_unitaries(rng, 40, 3):
+        after = _conjugated_values(u, state, a, b, basis, names)
+        for name in names:
+            moved[name] = max(moved[name], abs(after[name] - before[name]))
+    assert all(m <= 1e-10 for m in moved.values()), moved
