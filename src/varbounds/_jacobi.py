@@ -1,7 +1,9 @@
 """Hermitian eigendecomposition with a deterministic eigenvector convention.
 
-``hermitian_eigh`` validates a stack of matrices with ``require_hermitian``
-and diagonalizes it with LAPACK (``np.linalg.eigh``), in any dimension.
+``require_hermitian`` validates a stack of matrices and symmetrizes it;
+``hermitian_eigh`` diagonalizes a stack that has passed it with LAPACK
+(``np.linalg.eigh``), in any dimension.  Callers validate once and keep the
+symmetrized matrix, so nothing is checked twice.
 
 The module keeps the name of the cyclic Jacobi solver it used to hold,
 because the benchmark harness in ``bench/`` imports ``varbounds._jacobi``
@@ -59,14 +61,16 @@ def _fix_phases(v: np.ndarray) -> None:
     v[idx, anchor, cols] = np.abs(v[idx, anchor, cols])
 
 
-def hermitian_eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize Hermitian ``(..., d, d)``; returns (eigenvalues, eigenvectors).
+def hermitian_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize ``(..., d, d)``; returns (eigenvalues, eigenvectors).
 
-    Eigenvalues have shape ``(..., d)`` ascending; eigenvectors ``(..., d, d)``
-    with orthonormal columns in matching order.  Deterministic on one
-    machine: identical input bits give identical output bits.
+    ``a`` is the output of :func:`require_hermitian`: a complex128 stack,
+    already validated and symmetrized.  LAPACK reads one triangle only, so
+    an unvalidated matrix is not rejected here.  Eigenvalues have shape
+    ``(..., d)`` ascending; eigenvectors ``(..., d, d)`` with orthonormal
+    columns in matching order.  Deterministic on one machine: identical
+    input bits give identical output bits.
     """
-    a = require_hermitian(mats)
     batch_shape = a.shape[:-2]
     d = a.shape[-1]
     w, v = np.linalg.eigh(a.reshape(-1, d, d))

@@ -3,11 +3,17 @@
 Exit codes: 0 on success, 1 when verification finds an invariant violation,
 2 for usage/config errors.  ``VARBOUNDS_OUT`` supplies a default output
 directory for bare ``--out`` file names.
+
+``main(argv)`` can also be called in-process, for example from a notebook
+or a test, and returns the exit code.  It parses with one parser, built on
+the first call and kept for the life of the process; ``build_parser()``
+returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -242,9 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls: each call starts a new
+    # namespace from the defaults, so one parser serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except VarboundsError as exc:

@@ -157,7 +157,7 @@ def eigh(matrix: np.ndarray) -> tuple[np.ndarray, OrthonormalBasis]:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2:
         raise VarboundsError(f"eigh expects a single matrix, got shape {m.shape}")
-    w, v = hermitian_eigh(m)
+    w, v = hermitian_eigh(require_hermitian(m))
     return w, OrthonormalBasis(v)
 
 

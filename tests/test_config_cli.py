@@ -1,9 +1,11 @@
+import gc
 import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from varbounds import cli
 from varbounds.cli import main
 from varbounds.config import (
     load_instance,
@@ -14,6 +16,7 @@ from varbounds.config import (
     parse_vector,
 )
 from varbounds.errors import ConfigError
+from varbounds.optimize import OptimizerConfig
 
 SWEEP_CFG = """
 # custom sweep over the qubit family
@@ -200,3 +203,101 @@ class TestCli:
         rc = main(["verify", "--n", "1", "--dims", "2", "--seed", "0"])
         assert rc == 1
         assert "violation" in capsys.readouterr().err
+
+
+def _run(argv, capsys):
+    """Exit code, stdout and stderr of ``main(argv)``; a usage exit counts as its code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _run_fresh(argv, capsys, monkeypatch):
+    """The same, with ``main`` parsing through a parser built for this call alone."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        return _run(argv, capsys)
+
+
+class TestParserReuse:
+    """``main`` keeps one parser per process; no call may see another's arguments."""
+
+    def test_parser_is_built_once_and_build_parser_stays_fresh(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser() is not cli._parser()
+
+    def test_sweep_bounds_do_not_leak_into_the_next_call(self, capsys, monkeypatch):
+        narrow = ["sweep", "--preset", "fig1", "--bounds", "rs_product", "--theta-count", "3"]
+        plain = ["sweep", "--preset", "fig1", "--theta-count", "3"]
+        first = _run(narrow, capsys)
+        second = _run(plain, capsys)
+        assert first == _run_fresh(narrow, capsys, monkeypatch)
+        assert second == _run_fresh(plain, capsys, monkeypatch)
+        assert second[0] == 0
+        columns = json.loads(second[1])["columns"]
+        assert "fidelity_product" in columns and "optimized_product" in columns
+        assert "fidelity_product" not in json.loads(first[1])["columns"]
+
+    def test_optimizer_flags_do_not_leak_into_the_next_call(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "inst.cfg"
+        cfg.write_text(INSTANCE_CFG)
+        flagged = ["optimize", "--config", str(cfg), "--seed", "5", "--restarts", "3"]
+        plain = ["optimize", "--config", str(cfg)]
+        first = _run(flagged, capsys)
+        second = _run(plain, capsys)
+        assert first == _run_fresh(flagged, capsys, monkeypatch)
+        assert second == _run_fresh(plain, capsys, monkeypatch)
+        assert json.loads(first[1])["config"]["seed"] == 5
+        assert json.loads(second[1])["config"] == OptimizerConfig().__dict__
+
+    def test_valid_call_after_a_usage_error(self, capsys, monkeypatch):
+        bad = ["sweep", "--preset", "fig9"]
+        good = ["sweep", "--preset", "fig4", "--theta-count", "3", "--format", "csv"]
+        code, out, err = _run(bad, capsys)
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'fig9'" in err
+        assert _run(bad, capsys) == _run_fresh(bad, capsys, monkeypatch)
+        result = _run(good, capsys)
+        assert result[0] == 0 and result[1].startswith("theta,")
+        assert result == _run_fresh(good, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["compute", "--help"], ["sweep", "--help"],
+                                      ["verify", "--help"], ["optimize", "--help"]],
+                             ids=lambda argv: " ".join(argv))
+    def test_help_matches_a_fresh_parser(self, argv, capsys, monkeypatch):
+        code, out, err = _run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: varbounds")
+        assert (code, out, err) == _run_fresh(argv, capsys, monkeypatch)
+
+    def test_calls_leave_little_cyclic_garbage(self, tmp_path, capsys):
+        # argparse objects reference each other, so a parser built per call
+        # leaves ~300 unreachable objects per call for the full collector.
+        # What remains is the JSON encoder's closures (33 per JSON report).
+        cfg = tmp_path / "inst.cfg"
+        cfg.write_text(INSTANCE_CFG)
+        calls = {
+            "compute": ["compute", "--config", str(cfg)],
+            "sweep": ["sweep", "--preset", "fig4", "--theta-count", "3"],
+            "sweep csv": ["sweep", "--preset", "fig1", "--theta-count", "3", "--format", "csv"],
+            "verify": ["verify", "--n", "5", "--dims", "2", "--seed", "1"],
+            "optimize": ["optimize", "--config", str(cfg)],
+        }
+        per_call = {}
+        for name, argv in calls.items():
+            assert main(argv) == 0
+            gc.collect()
+            gc.disable()
+            try:
+                for _ in range(50):
+                    main(argv)
+                per_call[name] = gc.collect() / 50
+            finally:
+                gc.enable()
+            capsys.readouterr()
+        assert all(n < 50 for n in per_call.values()), per_call
+        assert per_call["sweep csv"] == 0, per_call

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_hermitian
-from varbounds._jacobi import hermitian_eigh
+from varbounds import _jacobi, linalg
+from varbounds._jacobi import hermitian_eigh, require_hermitian
 from varbounds.errors import BlochNormExceeded, NotHermitian, VarboundsError
 from varbounds.linalg import (
     Observable,
@@ -135,6 +136,38 @@ class TestObservable:
         obs = Observable(random_hermitian(rng, 3))
         shifted = obs.shifted(2.5)
         assert_allclose(shifted.eigenvalues, obs.eigenvalues + 2.5, atol=1e-12)
+
+    def test_validates_once(self, rng, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(np.shape(m))
+            return require_hermitian(m)
+
+        monkeypatch.setattr(linalg, "require_hermitian", counting)
+        monkeypatch.setattr(_jacobi, "require_hermitian", counting)
+        Observable(random_hermitian(rng, 4))
+        assert calls == [(4, 4)]
+
+    def test_same_bits_as_validating_twice(self, rng):
+        # symmetrizing an exactly Hermitian matrix returns its own bits, so one
+        # check gives what the former check-then-check-again path gave
+        for d in (1, 2, 3, 4, 6, 8):
+            m = random_hermitian(rng, d) + 1e-14 * rng.standard_normal((d, d))
+            once = require_hermitian(m)
+            w, v = hermitian_eigh(require_hermitian(once))
+            obs = Observable(m)
+            assert obs.matrix.tobytes() == once.tobytes()
+            assert obs.eigenvalues.tobytes() == w.tobytes()
+            assert obs.eigenvectors.tobytes() == v.tobytes()
+
+    def test_errors(self):
+        with pytest.raises(NotHermitian):
+            Observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(NotHermitian):
+            Observable(np.zeros(3))
+        with pytest.raises(VarboundsError, match="single matrix"):
+            Observable(np.zeros((2, 3, 3)))
 
 
 class TestSpin1:
