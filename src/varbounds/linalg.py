@@ -1,7 +1,9 @@
 """Observables, states, and orthonormal bases for small dense Hilbert spaces.
 
-Everything here is immutable after construction (backing arrays are set
-read-only), so instances can be shared freely across threads.
+Backing arrays are set read-only, so instances can be shared freely across
+threads.  An :class:`Observable`'s spectrum is computed once, on first use,
+and cached; concurrent first reads may each compute it, and they compute
+the same bits.
 """
 
 from __future__ import annotations
@@ -58,7 +60,13 @@ class OrthonormalBasis:
 
 
 class Observable:
-    """Hermitian operator with its spectral decomposition cached.
+    """Hermitian operator whose spectral decomposition is computed on first use.
+
+    The matrix is validated and frozen at construction.  The first read of
+    ``eigenvalues`` or ``eigenvectors`` diagonalizes it once and caches both
+    for the object's lifetime; code that only applies the matrix never pays
+    for the eigensolver.  Two threads reading first may both diagonalize,
+    and both get the same bits.
 
     Eigenvalues are ascending; eigenvector columns follow the deterministic
     phase convention of :func:`eigh`, so repeated construction from the same
@@ -69,10 +77,23 @@ class Observable:
         m = require_hermitian(np.asarray(matrix, dtype=np.complex128))
         if m.ndim != 2:
             raise VarboundsError("Observable expects a single matrix")
-        w, v = hermitian_eigh(m)
         self.matrix = _frozen(m)
-        self.eigenvalues = _frozen(w)
-        self.eigenvectors = _frozen(v)
+        self._spectrum = None
+
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        spectrum = self._spectrum
+        if spectrum is None:
+            w, v = hermitian_eigh(self.matrix)
+            spectrum = self._spectrum = (_frozen(w), _frozen(v))
+        return spectrum
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigh()[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._eigh()[1]
 
     @property
     def dim(self) -> int:

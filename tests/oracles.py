@@ -1,5 +1,7 @@
 """Independent test oracles, kept apart from the production paths."""
 
+import json
+
 import numpy as np
 
 from varbounds.moments import deviation_vector
@@ -75,3 +77,28 @@ def mp_sum_1_sampled(state, a, b, rng, samples=20_000):
     v -= np.outer(v @ psi.conj(), psi)
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return mp_sum_1_over(state, a, b, v)
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        if not np.isfinite(f):
+            return "inf" if f > 0 else ("-inf" if f < 0 else "nan")
+        return f
+    return obj
+
+
+def render_json_reference(obj) -> str:
+    """The former ``reporting.render_json``: copy to plain Python values, then ``json.dumps``."""
+    data = obj.to_json_dict()
+    return json.dumps(_jsonable(data), indent=2, sort_keys=True) + "\n"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -120,6 +122,26 @@ class TestEigh:
             assert_allclose(vb[i], v, atol=1e-11)
 
 
+def counting_eigh(monkeypatch):
+    """Count the calls ``linalg`` makes to ``hermitian_eigh``."""
+    calls = []
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return hermitian_eigh(m)
+
+    monkeypatch.setattr(linalg, "hermitian_eigh", counting)
+    return calls
+
+
+SPECTRUM_READS = {
+    "eigenvalues": lambda obs: obs.eigenvalues,
+    "eigenvectors": lambda obs: obs.eigenvectors,
+    "eigenbasis": lambda obs: obs.eigenbasis(),
+    "repr": repr,
+}
+
+
 class TestObservable:
     def test_reconstruction_invariant(self, rng):
         for d in (2, 3, 4, 6, 8):
@@ -132,10 +154,51 @@ class TestObservable:
         with pytest.raises(ValueError):
             obs.matrix[0, 0] = 5.0
 
-    def test_shifted(self, rng):
+    def test_shifted(self, rng, monkeypatch):
+        calls = counting_eigh(monkeypatch)
         obs = Observable(random_hermitian(rng, 3))
         shifted = obs.shifted(2.5)
+        assert calls == []
         assert_allclose(shifted.eigenvalues, obs.eigenvalues + 2.5, atol=1e-12)
+        assert_allclose(shifted.matrix, obs.matrix + 2.5 * np.eye(3), atol=0)
+        assert calls == [(3, 3), (3, 3)]
+
+    def test_construction_does_not_diagonalize(self, rng, monkeypatch):
+        calls = counting_eigh(monkeypatch)
+        for d in (1, 2, 5):
+            obs = Observable(random_hermitian(rng, d))
+            assert obs.dim == d
+            obs.matrix @ np.ones(d)
+        assert calls == []
+
+    def test_any_reads_diagonalize_once(self, rng, monkeypatch):
+        calls = counting_eigh(monkeypatch)
+        m = random_hermitian(rng, 3)
+        for n in (1, 2, 3):
+            for reads in itertools.product(SPECTRUM_READS.values(), repeat=n):
+                calls.clear()
+                obs = Observable(m)
+                first = [read(obs) for read in reads]
+                again = [read(obs) for read in reads]
+                assert calls == [(3, 3)]
+                for a, b in zip(first, again):
+                    if isinstance(a, np.ndarray):
+                        assert a is b
+
+    def test_spectrum_is_read_only(self, rng):
+        obs = Observable(random_hermitian(rng, 3))
+        for arr in (obs.eigenvalues, obs.eigenvectors):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_spectrum_bits_match_a_direct_eigh(self, rng):
+        for d in (*range(1, 9), 16):
+            m = random_hermitian(rng, d) + 1e-14 * rng.standard_normal((d, d))
+            w, v = hermitian_eigh(require_hermitian(m))
+            obs = Observable(m)
+            assert np.array_equal(obs.eigenvalues.view(np.uint64), w.view(np.uint64))
+            assert np.array_equal(obs.eigenvectors.view(np.uint64), v.view(np.uint64))
 
     def test_validates_once(self, rng, monkeypatch):
         calls = []
@@ -146,7 +209,9 @@ class TestObservable:
 
         monkeypatch.setattr(linalg, "require_hermitian", counting)
         monkeypatch.setattr(_jacobi, "require_hermitian", counting)
-        Observable(random_hermitian(rng, 4))
+        obs = Observable(random_hermitian(rng, 4))
+        assert calls == [(4, 4)]
+        obs.eigenvalues, obs.eigenvectors
         assert calls == [(4, 4)]
 
     def test_same_bits_as_validating_twice(self, rng):
@@ -161,13 +226,15 @@ class TestObservable:
             assert obs.eigenvalues.tobytes() == w.tobytes()
             assert obs.eigenvectors.tobytes() == v.tobytes()
 
-    def test_errors(self):
+    def test_errors(self, monkeypatch):
+        calls = counting_eigh(monkeypatch)
         with pytest.raises(NotHermitian):
             Observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(NotHermitian):
             Observable(np.zeros(3))
         with pytest.raises(VarboundsError, match="single matrix"):
             Observable(np.zeros((2, 3, 3)))
+        assert calls == []
 
 
 class TestSpin1:
