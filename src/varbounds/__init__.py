@@ -29,6 +29,7 @@ from .linalg import (
     spin1_operators,
 )
 from .moments import (
+    Instance,
     MomentSet,
     anticommutator_expectation,
     commutator_expectation,
@@ -73,6 +74,7 @@ __all__ = [
     "BoundResult",
     "ConfigError",
     "DimensionMismatch",
+    "Instance",
     "MixedStateUnsupported",
     "MomentSet",
     "NotHermitian",

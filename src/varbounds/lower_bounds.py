@@ -13,7 +13,10 @@ Implemented bounds:
   on a state orthogonal to the system state, kept as comparison baselines;
   both take that state in closed form.
 
-Every function returns a :class:`BoundResult`; lower bounds are always
+Each formula is a function of one :class:`~varbounds.moments.Instance`
+(``rs_product``, ``basis_product``, ...), so the bounds of one row read one
+set of moments; each ``*_bound(state, a, b)`` builds the instance and calls
+it.  Every function returns a :class:`BoundResult`; lower bounds are always
 defined (preconditions raise instead).  Nothing here runs a numerical
 search; the basis-optimized bounds live in :mod:`varbounds.optimize`.
 """
@@ -25,18 +28,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, MixedStateUnsupported
-from .linalg import Observable, OrthonormalBasis, QuantumState, check_dims
-from .moments import deviation_vector, expectation, moments
+from .linalg import Observable, OrthonormalBasis, QuantumState
+from .moments import (  # fidelity_weights and sorted_weighted are re-exported
+    Instance,
+    SortedWeightSequences,
+    fidelity_weights,
+    sorted_weighted,
+)
 
 __all__ = [
     "BoundResult",
     "SortedWeightSequences",
+    "basis_product",
     "basis_product_bound",
+    "basis_sum",
     "basis_sum_bound",
+    "fidelity_product",
     "fidelity_product_bound",
+    "mp_sum_1",
+    "mp_sum_2",
     "mp_sum_bound_1",
     "mp_sum_bound_2",
+    "parallelogram_sum",
     "parallelogram_sum_bound",
+    "rs_product",
     "rs_product_bound",
     "sorted_weight_sequences",
 ]
@@ -67,36 +82,6 @@ class BoundResult:
                    intermediates=dict(intermediates))
 
 
-@dataclass(frozen=True)
-class SortedWeightSequences:
-    """Fidelity-weighted eigenvalue deviations, sorted ascending.
-
-    ``u[i] = (a_i - <A>) * sqrt(F_i)`` over the eigenbasis of A (same for v
-    and B), with the originating eigenvalue index of each sorted entry.
-    ``sum(u**2)`` equals the variance of A.
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-    u_indices: np.ndarray
-    v_indices: np.ndarray
-
-
-def fidelity_weights(state: QuantumState, a: Observable) -> np.ndarray:
-    """Transition probabilities between the state and each eigenvector of A."""
-    vecs = a.eigenvectors
-    if state.is_pure:
-        return np.abs(vecs.conj().T @ state.vector) ** 2
-    return np.einsum("im,ij,jm->m", vecs.conj(), state.rho, vecs).real
-
-
-def sorted_weighted(values: np.ndarray, weights: np.ndarray):
-    """Sort ``values * sqrt(weights)`` ascending; batched over leading axes."""
-    raw = values * np.sqrt(np.maximum(weights, 0.0))
-    order = np.argsort(raw, axis=-1, kind="stable")
-    return np.take_along_axis(raw, order, axis=-1), order
-
-
 def pairing_sums(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inner products of the two extremal pairings of sorted sequences."""
     ascending = np.einsum("...i,...i->...", u, v)
@@ -112,17 +97,12 @@ def parallelogram_values(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def sorted_weight_sequences(state: QuantumState, a: Observable, b: Observable) -> SortedWeightSequences:
-    check_dims(state, a, b)
-    ta = a.eigenvalues - expectation(state, a)
-    tb = b.eigenvalues - expectation(state, b)
-    u, ui = sorted_weighted(ta, fidelity_weights(state, a))
-    v, vi = sorted_weighted(tb, fidelity_weights(state, b))
-    return SortedWeightSequences(u=u, v=v, u_indices=ui, v_indices=vi)
+    return Instance(state, a, b).sequences
 
 
-def rs_product_bound(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
+def rs_product(inst: Instance) -> BoundResult:
     """Robertson-Schrodinger: |<[A,B]>/2|^2 + Cov(A,B)^2."""
-    ms = moments(state, a, b)
+    ms = inst.moments
     comm_term = abs(ms.comm_expect / 2.0) ** 2
     cov_term = ms.cov**2
     return BoundResult(
@@ -132,24 +112,19 @@ def rs_product_bound(state: QuantumState, a: Observable, b: Observable) -> Bound
     )
 
 
-def _alpha_beta(state: QuantumState, a: Observable, b: Observable,
-                basis: OrthonormalBasis) -> tuple[np.ndarray, np.ndarray]:
-    if not state.is_pure:
+def _alpha_beta(inst: Instance, basis: OrthonormalBasis) -> tuple[np.ndarray, np.ndarray]:
+    if not inst.state.is_pure:
         raise MixedStateUnsupported("basis-decomposition bounds need a pure state")
-    d = check_dims(state, a, b)
-    if basis.dim != d:
-        raise DimensionMismatch(f"basis dim {basis.dim} vs state dim {d}")
-    f = deviation_vector(state, a)
-    g = deviation_vector(state, b)
-    alpha = basis.columns.conj().T @ f
-    beta = basis.columns.conj().T @ g
+    if basis.dim != inst.dim:
+        raise DimensionMismatch(f"basis dim {basis.dim} vs state dim {inst.dim}")
+    alpha = basis.columns.conj().T @ inst.dev_a
+    beta = basis.columns.conj().T @ inst.dev_b
     return alpha, beta
 
 
-def basis_product_bound(state: QuantumState, a: Observable, b: Observable,
-                        basis: OrthonormalBasis) -> BoundResult:
+def basis_product(inst: Instance, basis: OrthonormalBasis) -> BoundResult:
     """(sum_n |alpha_n| |beta_n|)^2 with alpha_n, beta_n the deviation coefficients."""
-    alpha, beta = _alpha_beta(state, a, b, basis)
+    alpha, beta = _alpha_beta(inst, basis)
     aa = np.abs(alpha)
     bb = np.abs(beta)
     return BoundResult(
@@ -159,10 +134,9 @@ def basis_product_bound(state: QuantumState, a: Observable, b: Observable,
     )
 
 
-def basis_sum_bound(state: QuantumState, a: Observable, b: Observable,
-                    basis: OrthonormalBasis) -> BoundResult:
+def basis_sum(inst: Instance, basis: OrthonormalBasis) -> BoundResult:
     """(1/2) sum_n (|alpha_n| + |beta_n|)^2, from the parallelogram law."""
-    alpha, beta = _alpha_beta(state, a, b, basis)
+    alpha, beta = _alpha_beta(inst, basis)
     aa = np.abs(alpha)
     bb = np.abs(beta)
     return BoundResult(
@@ -172,13 +146,13 @@ def basis_sum_bound(state: QuantumState, a: Observable, b: Observable,
     )
 
 
-def fidelity_product_bound(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
+def fidelity_product(inst: Instance) -> BoundResult:
     """Squared inner product of the sorted weighted sequences.
 
     Both extremal pairings are valid lower bounds (Cauchy-Schwarz holds for
     any pairing); the larger square is reported and the pairing recorded.
     """
-    seqs = sorted_weight_sequences(state, a, b)
+    seqs = inst.sequences
     asc, alt = pairing_sums(seqs.u, seqs.v)
     v_asc = float(asc**2)
     v_alt = float(alt**2)
@@ -196,13 +170,13 @@ def fidelity_product_bound(state: QuantumState, a: Observable, b: Observable) ->
     )
 
 
-def parallelogram_sum_bound(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
+def parallelogram_sum(inst: Instance) -> BoundResult:
     """(1/2) sum_i (u_i + v_i)^2 with both sequences sorted ascending.
 
     The ascending-ascending pairing is the reported value; the opposed
     pairing (also a valid bound) is exposed in the intermediates.
     """
-    seqs = sorted_weight_sequences(state, a, b)
+    seqs = inst.sequences
     asc, alt = parallelogram_values(seqs.u, seqs.v)
     return BoundResult(
         kind="parallelogram_sum",
@@ -218,7 +192,7 @@ def mp_perp_candidates(state: QuantumState, a: Observable, b: Observable, sign: 
     return w - psi * np.vdot(psi, w)
 
 
-def mp_sum_bound_1(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
+def mp_sum_1(inst: Instance) -> BoundResult:
     """Baseline: max over sign of +/-i<[A,B]> + sup_perp |<psi|(A +/- iB)|perp>|^2.
 
     By Cauchy-Schwarz the supremum over unit vectors orthogonal to the state
@@ -227,12 +201,11 @@ def mp_sum_bound_1(state: QuantumState, a: Observable, b: Observable) -> BoundRe
     is that maximizer for the winning sign, or None when the projection is
     zero.
     """
-    if not state.is_pure:
+    if not inst.state.is_pure:
         raise MixedStateUnsupported("this baseline is a pure-state bound")
-    check_dims(state, a, b)
-    ms = moments(state, a, b)
-    proj = {sign: mp_perp_candidates(state, a, b, sign) for sign in (1.0, -1.0)}
-    per_sign = {sign: float((sign * 1j * ms.comm_expect).real) + float(np.vdot(w, w).real)
+    comm = inst.moments.comm_expect
+    proj = {sign: mp_perp_candidates(inst.state, inst.a, inst.b, sign) for sign in (1.0, -1.0)}
+    per_sign = {sign: float((sign * 1j * comm).real) + float(np.vdot(w, w).real)
                 for sign, w in proj.items()}
     best_sign = 1.0 if per_sign[1.0] >= per_sign[-1.0] else -1.0
     w = proj[best_sign]
@@ -250,13 +223,12 @@ def mp_sum_bound_1(state: QuantumState, a: Observable, b: Observable) -> BoundRe
     )
 
 
-def mp_sum_bound_2(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
+def mp_sum_2(inst: Instance) -> BoundResult:
     """Baseline: half the variance of A + B."""
-    if not state.is_pure:
+    if not inst.state.is_pure:
         raise MixedStateUnsupported("this baseline is a pure-state bound")
-    check_dims(state, a, b)
-    psi = state.vector
-    m = a.matrix + b.matrix
+    psi = inst.state.vector
+    m = inst.a.matrix + inst.b.matrix
     mv = m @ psi
     mean = np.vdot(psi, mv).real
     var_sum_op = max(np.vdot(mv, mv).real - mean**2, 0.0)
@@ -266,3 +238,40 @@ def mp_sum_bound_2(state: QuantumState, a: Observable, b: Observable) -> BoundRe
         baseline=True,
         intermediates={"variance_of_sum_operator": var_sum_op},
     )
+
+
+def rs_product_bound(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
+    """:func:`rs_product` of one state and pair."""
+    return rs_product(Instance(state, a, b))
+
+
+def basis_product_bound(state: QuantumState, a: Observable, b: Observable,
+                        basis: OrthonormalBasis) -> BoundResult:
+    """:func:`basis_product` of one pure state and pair, in ``basis``."""
+    return basis_product(Instance(state, a, b), basis)
+
+
+def basis_sum_bound(state: QuantumState, a: Observable, b: Observable,
+                    basis: OrthonormalBasis) -> BoundResult:
+    """:func:`basis_sum` of one pure state and pair, in ``basis``."""
+    return basis_sum(Instance(state, a, b), basis)
+
+
+def fidelity_product_bound(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
+    """:func:`fidelity_product` of one state and pair."""
+    return fidelity_product(Instance(state, a, b))
+
+
+def parallelogram_sum_bound(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
+    """:func:`parallelogram_sum` of one state and pair."""
+    return parallelogram_sum(Instance(state, a, b))
+
+
+def mp_sum_bound_1(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
+    """:func:`mp_sum_1` of one pure state and pair."""
+    return mp_sum_1(Instance(state, a, b))
+
+
+def mp_sum_bound_2(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
+    """:func:`mp_sum_2` of one pure state and pair."""
+    return mp_sum_2(Instance(state, a, b))

@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MixedStateUnsupported
-from .linalg import Observable, OrthonormalBasis, QuantumState, check_dims
-from .lower_bounds import basis_product_bound, basis_sum_bound
-from .moments import deviation_vector
-from .upper_bounds import reverse_basis_product_bound
+from .linalg import Observable, OrthonormalBasis, QuantumState
+from .lower_bounds import basis_product, basis_sum
+from .moments import Instance
+from .upper_bounds import reverse_basis_product
 
 __all__ = [
     "OptimizationReport",
@@ -38,6 +38,8 @@ __all__ = [
     "optimize_product_bound",
     "optimize_reverse_product_bound",
     "optimize_sum_bound",
+    "product_optimum",
+    "sum_optimum",
 ]
 
 DEFAULT_SEED = 0xDEBA515
@@ -160,30 +162,26 @@ def flat_basis(f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     return _frame(fh, gh) @ _frame(x, y).conj().T
 
 
-def _pure_deviations(state, a, b):
-    """Dimension and deviation vectors of a pure state; mixed states raise."""
-    if not state.is_pure:
-        raise MixedStateUnsupported("basis optimization is a pure-state construction")
-    return check_dims(state, a, b), deviation_vector(state, a), deviation_vector(state, b)
-
-
-def _at_witness(state, a, b, bound, witness, label: str, mode: str) -> OptimizationReport:
+def _at_witness(inst: Instance, bound, witness, label: str, mode: str) -> OptimizationReport:
     """The optimum over bases: ``bound`` at the basis ``witness(f, g)``, with no search.
 
-    When ``witness`` finds f or g null, the standard basis stands in.  At d=1,
-    [[1]] is the only basis and f, g vanish up to round-off: the lower bounds
-    are reported as 0, the reverse bound as its value there (+inf when f or g
-    is exactly zero), with an empty trace.
+    The witness and the bound read the instance's deviation vectors f, g.
+    When ``witness`` finds f or g null, the standard basis stands in.  At
+    d=1, [[1]] is the only basis and f, g vanish up to round-off: the lower
+    bounds are reported as 0, the reverse bound as its value there (+inf,
+    because its positivity hypothesis fails), with an empty trace.
     """
-    d, f, g = _pure_deviations(state, a, b)
+    if not inst.state.is_pure:
+        raise MixedStateUnsupported("basis optimization is a pure-state construction")
+    d = inst.dim
     if d == 1:
         only = OrthonormalBasis(np.ones((1, 1)))
-        value = 0.0 if mode == "max" else float(bound(state, a, b, only).value)
+        value = 0.0 if mode == "max" else float(bound(inst, only).value)
         return OptimizationReport(best_value=value, best_basis=only, restarts_used=0,
                                   evaluations=0, converged=True, mode=mode)
-    u = witness(f, g)
+    u = witness(inst.dev_a, inst.dev_b)
     basis = OrthonormalBasis.standard(d) if u is None else OrthonormalBasis(u)
-    value = float(bound(state, a, b, basis).value)
+    value = float(bound(inst, basis).value)
     return OptimizationReport(
         best_value=value,
         best_basis=basis,
@@ -196,6 +194,16 @@ def _at_witness(state, a, b, bound, witness, label: str, mode: str) -> Optimizat
     )
 
 
+def product_optimum(inst: Instance) -> OptimizationReport:
+    """:func:`optimize_product_bound` of one instance."""
+    return _at_witness(inst, basis_product, aligned_basis, "aligned", "max")
+
+
+def sum_optimum(inst: Instance) -> OptimizationReport:
+    """:func:`optimize_sum_bound` of one instance."""
+    return _at_witness(inst, basis_sum, aligned_basis, "aligned", "max")
+
+
 def optimize_product_bound(state: QuantumState, a: Observable, b: Observable,
                            cfg: OptimizerConfig | None = None) -> OptimizationReport:
     """Maximum over bases of the basis product bound (sum_n |alpha_n||beta_n|)^2.
@@ -203,7 +211,7 @@ def optimize_product_bound(state: QuantumState, a: Observable, b: Observable,
     It equals Var A * Var B and is reached at :func:`aligned_basis`, which the
     report returns with a one-entry trace; ``cfg`` is accepted and unused.
     """
-    return _at_witness(state, a, b, basis_product_bound, aligned_basis, "aligned", "max")
+    return product_optimum(Instance(state, a, b))
 
 
 def optimize_sum_bound(state: QuantumState, a: Observable, b: Observable,
@@ -213,7 +221,7 @@ def optimize_sum_bound(state: QuantumState, a: Observable, b: Observable,
     It equals (Delta A + Delta B)^2 / 2 and is reached at :func:`aligned_basis`,
     which the report returns with a one-entry trace; ``cfg`` is accepted and unused.
     """
-    return _at_witness(state, a, b, basis_sum_bound, aligned_basis, "aligned", "max")
+    return sum_optimum(Instance(state, a, b))
 
 
 def optimize_reverse_product_bound(state: QuantumState, a: Observable, b: Observable,
@@ -222,7 +230,8 @@ def optimize_reverse_product_bound(state: QuantumState, a: Observable, b: Observ
 
     It equals Var A * Var B and is reached at :func:`flat_basis`, which the
     report returns with a one-entry trace labelled ``flat``; ``cfg`` is
-    accepted and unused.  When f or g is zero the bound is undefined in
-    every basis: the report gives +inf at the standard basis.
+    accepted and unused.  When f or g is zero, or is round-off dust at an
+    eigenstate, the bound is undefined in every basis and the report gives
+    +inf.
     """
-    return _at_witness(state, a, b, reverse_basis_product_bound, flat_basis, "flat", "min")
+    return _at_witness(Instance(state, a, b), reverse_basis_product, flat_basis, "flat", "min")

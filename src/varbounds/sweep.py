@@ -14,7 +14,11 @@ Presets:
   fidelity product bound;
 * ``fig4`` - same family, Dunkl-Williams variance-sum bound.
 
-Every bound a sweep offers is in closed form, so no sweep runs a search.
+Each row builds one :class:`~varbounds.moments.Instance` and evaluates
+every requested bound on it, so the moments, deviation vectors and
+fidelity sequences of a row are computed once; :func:`compute_instance`
+does the same for one call.  Every bound a sweep offers is in closed form,
+so no sweep runs a search.
 ``optimized_product`` and ``optimized_sum`` are the basis bounds at the
 witness basis of :func:`varbounds.optimize.optimize_product_bound` and
 :func:`~varbounds.optimize.optimize_sum_bound`: Var A * Var B and
@@ -40,26 +44,22 @@ from .linalg import (
     spin1_operators,
 )
 from .lower_bounds import (
-    basis_product_bound,
-    basis_sum_bound,
-    fidelity_product_bound,
-    mp_sum_bound_1,
-    mp_sum_bound_2,
-    parallelogram_sum_bound,
-    rs_product_bound,
+    BoundResult,
+    basis_product,
+    basis_sum,
+    fidelity_product,
+    mp_sum_1,
+    mp_sum_2,
+    parallelogram_sum,
+    rs_product,
 )
-from .moments import moments
-from .optimize import (
-    RNG_NAME,
-    OptimizerConfig,
-    optimize_product_bound,
-    optimize_sum_bound,
-)
+from .moments import Instance
+from .optimize import RNG_NAME, OptimizerConfig, product_optimum, sum_optimum
 from .upper_bounds import (
-    dw_deviation_sum_bound,
-    dw_variance_sum_bound,
-    reverse_basis_product_bound,
-    reverse_fidelity_product_bound,
+    dw_deviation_sum,
+    dw_variance_sum,
+    reverse_basis_product,
+    reverse_fidelity_product,
 )
 
 __all__ = [
@@ -105,55 +105,40 @@ class _BoundDef:
     target: str  # "product" | "sum" | "dev_sum"
     upper: bool
     pure_only: bool
-    compute: object  # (state, a, b, ctx) -> BoundResult
+    compute: object  # (Instance) -> BoundResult
 
 
-def _std_basis(state):
-    return OrthonormalBasis.standard(state.dim)
-
-
-BOUNDS = {
-    "rs_product": _BoundDef("product", False, False,
-                            lambda s, a, b, ctx: rs_product_bound(s, a, b)),
-    "basis_product": _BoundDef("product", False, True,
-                               lambda s, a, b, ctx: basis_product_bound(s, a, b, _std_basis(s))),
-    "fidelity_product": _BoundDef("product", False, False,
-                                  lambda s, a, b, ctx: fidelity_product_bound(s, a, b)),
-    "parallelogram_sum": _BoundDef("sum", False, False,
-                                   lambda s, a, b, ctx: parallelogram_sum_bound(s, a, b)),
-    "basis_sum": _BoundDef("sum", False, True,
-                           lambda s, a, b, ctx: basis_sum_bound(s, a, b, _std_basis(s))),
-    "mp_sum_1": _BoundDef("sum", False, True,
-                          lambda s, a, b, ctx: mp_sum_bound_1(s, a, b)),
-    "mp_sum_2": _BoundDef("sum", False, True,
-                          lambda s, a, b, ctx: mp_sum_bound_2(s, a, b)),
-    "reverse_fidelity_product": _BoundDef("product", True, False,
-                                          lambda s, a, b, ctx: reverse_fidelity_product_bound(s, a, b)),
-    "reverse_basis_product": _BoundDef("product", True, True,
-                                       lambda s, a, b, ctx: reverse_basis_product_bound(s, a, b, _std_basis(s))),
-    "dw_deviation_sum": _BoundDef("dev_sum", True, False,
-                                  lambda s, a, b, ctx: dw_deviation_sum_bound(s, a, b)),
-    "dw_variance_sum": _BoundDef("sum", True, False,
-                                 lambda s, a, b, ctx: dw_variance_sum_bound(s, a, b)),
-    "optimized_product": _BoundDef("product", False, True,
-                                   lambda s, a, b, ctx: _from_report(
-                                       "optimized_product",
-                                       optimize_product_bound(s, a, b, cfg=ctx["optimizer"]))),
-    "optimized_sum": _BoundDef("sum", False, True,
-                               lambda s, a, b, ctx: _from_report(
-                                   "optimized_sum",
-                                   optimize_sum_bound(s, a, b, cfg=ctx["optimizer"]))),
-}
-
-BOUND_IDS = tuple(BOUNDS)
+def _std_basis(inst):
+    return OrthonormalBasis.standard(inst.dim)
 
 
 def _from_report(kind, report):
-    from .lower_bounds import BoundResult
-
     return BoundResult(kind=kind, value=report.best_value,
                        intermediates={"evaluations": report.evaluations,
                                       "converged": report.converged})
+
+
+BOUNDS = {
+    "rs_product": _BoundDef("product", False, False, rs_product),
+    "basis_product": _BoundDef("product", False, True,
+                               lambda inst: basis_product(inst, _std_basis(inst))),
+    "fidelity_product": _BoundDef("product", False, False, fidelity_product),
+    "parallelogram_sum": _BoundDef("sum", False, False, parallelogram_sum),
+    "basis_sum": _BoundDef("sum", False, True, lambda inst: basis_sum(inst, _std_basis(inst))),
+    "mp_sum_1": _BoundDef("sum", False, True, mp_sum_1),
+    "mp_sum_2": _BoundDef("sum", False, True, mp_sum_2),
+    "reverse_fidelity_product": _BoundDef("product", True, False, reverse_fidelity_product),
+    "reverse_basis_product": _BoundDef("product", True, True,
+                                       lambda inst: reverse_basis_product(inst, _std_basis(inst))),
+    "dw_deviation_sum": _BoundDef("dev_sum", True, False, dw_deviation_sum),
+    "dw_variance_sum": _BoundDef("sum", True, False, dw_variance_sum),
+    "optimized_product": _BoundDef("product", False, True,
+                                   lambda inst: _from_report("optimized_product", product_optimum(inst))),
+    "optimized_sum": _BoundDef("sum", False, True,
+                               lambda inst: _from_report("optimized_sum", sum_optimum(inst))),
+}
+
+BOUND_IDS = tuple(BOUNDS)
 
 
 _PRESETS = {
@@ -271,7 +256,6 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         raise ConfigError("observable dimension does not match the state family")
 
     thetas = np.linspace(spec.theta_start, spec.theta_stop, spec.theta_count)
-    ctx = {"optimizer": optimizer}
 
     columns = ["theta", "exact_product", "exact_sum"]
     need_dev = "dw_deviation_sum" in bound_ids
@@ -284,14 +268,14 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
     rows = []
     for theta in thetas:
-        state = build(float(theta))
-        ms = moments(state, obs_a, obs_b)
+        inst = Instance(build(float(theta)), obs_a, obs_b)
+        ms = inst.moments
         row = [float(theta), ms.var_a * ms.var_b, ms.var_a + ms.var_b]
         dev_sum = ms.std_a + ms.std_b
         if need_dev:
             row.append(dev_sum)
         for bid in bound_ids:
-            res = BOUNDS[bid].compute(state, obs_a, obs_b, ctx)
+            res = BOUNDS[bid].compute(inst)
             if res.defined:
                 row.extend([float(res.value), "ok"])
             else:
@@ -332,13 +316,16 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 def compute_instance(state: QuantumState, obs_a: Observable, obs_b: Observable,
                      bounds: tuple | None = None,
                      optimizer: OptimizerConfig | None = None) -> dict:
-    """All (applicable) bounds for a single state/observable-pair instance."""
+    """All (applicable) bounds for a single state/observable-pair instance.
+
+    ``optimizer`` is accepted and changes no value.
+    """
     bound_ids = tuple(bounds) if bounds is not None else BOUND_IDS
     for bid in bound_ids:
         if bid not in BOUNDS:
             raise UnknownBoundId(f"unknown bound id {bid!r}")
-    ms = moments(state, obs_a, obs_b)
-    ctx = {"optimizer": optimizer or OptimizerConfig(restarts=8)}
+    inst = Instance(state, obs_a, obs_b)
+    ms = inst.moments
     out = {
         "exact": {
             "product": ms.var_a * ms.var_b,
@@ -354,7 +341,7 @@ def compute_instance(state: QuantumState, obs_a: Observable, obs_b: Observable,
                                   "status": "mixed state unsupported",
                                   "target": bdef.target, "upper": bdef.upper}
             continue
-        res = bdef.compute(state, obs_a, obs_b, ctx)
+        res = bdef.compute(inst)
         out["bounds"][bid] = {
             "value": float(res.value) if res.defined else None,
             "defined": res.defined,

@@ -10,6 +10,11 @@ Two families:
 * Dunkl-Williams sum bounds on Delta A + Delta B and on the sum of
   variances.
 
+As in :mod:`varbounds.lower_bounds`, each formula is a function of one
+:class:`~varbounds.moments.Instance` and each ``*_bound`` builds one.  The
+positivity test and the reverse factor work along the last axis, so
+:mod:`varbounds.verify` applies the same rule to whole ensembles.
+
 An upper bound that cannot be formed (hypothesis violation, vanishing
 denominator) is returned with ``defined=False`` and the +inf sentinel
 rather than dropping offending terms: removing an index from one sequence
@@ -22,15 +27,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Observable, OrthonormalBasis, QuantumState, check_dims
-from .lower_bounds import BoundResult, _alpha_beta, sorted_weight_sequences
-from .moments import moments
+from .linalg import Observable, OrthonormalBasis, QuantumState
+from .lower_bounds import BoundResult, _alpha_beta
+from .moments import Instance, MomentSet
 
 __all__ = [
     "ReverseFactor",
+    "dw_deviation_sum",
     "dw_deviation_sum_bound",
+    "dw_variance_sum",
     "dw_variance_sum_bound",
+    "reverse_basis_product",
     "reverse_basis_product_bound",
+    "reverse_fidelity_product",
     "reverse_fidelity_product_bound",
 ]
 
@@ -44,7 +53,11 @@ CORRELATED_REASON = "vacuous at perfect correlation (denominator below tolerance
 
 @dataclass(frozen=True)
 class ReverseFactor:
-    """Extrema of two positive sequences and the reverse-CS multiplier."""
+    """Extrema of two positive sequences and the reverse-CS multiplier.
+
+    The fields are floats for a single pair of sequences and arrays over
+    the leading axes for stacks of them.
+    """
 
     max_a: float
     min_a: float
@@ -55,53 +68,56 @@ class ReverseFactor:
     def factor(self) -> float:
         num = (self.max_a * self.max_b + self.min_a * self.min_b) ** 2
         den = 4.0 * self.max_a * self.max_b * self.min_a * self.min_b
-        return num / den
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return num / den
 
     @classmethod
     def from_sequences(cls, c: np.ndarray, d: np.ndarray) -> "ReverseFactor":
-        return cls(max_a=float(c.max()), min_a=float(c.min()),
-                   max_b=float(d.max()), min_b=float(d.min()))
+        """Extrema along the last axis."""
+        return cls(max_a=c.max(axis=-1), min_a=c.min(axis=-1),
+                   max_b=d.max(axis=-1), min_b=d.min(axis=-1))
 
 
-def _strictly_positive(seq: np.ndarray, scale: float | None = None) -> bool:
-    """Entries strictly positive at threshold 1e-12 of the largest entry.
+def _strictly_positive(seq: np.ndarray, scale=None) -> np.ndarray:
+    """Entries strictly positive at threshold 1e-12 of the largest entry, along the last axis.
 
-    ``scale`` (the largest unweighted eigenvalue deviation, for the fidelity
-    sequences) adds an absolute floor so that sequences made entirely of
-    round-off dust near an eigenstate count as violating the hypothesis,
-    exactly like their exact-arithmetic zeros would.
+    ``scale`` (an upper bound on the sequence's unweighted deviations: the
+    largest eigenvalue deviation for the fidelity sequences, the Frobenius
+    norm of A - <A> for the basis coefficients) adds an absolute floor, so
+    that sequences made entirely of round-off dust near an eigenstate count
+    as violating the hypothesis, exactly like their exact-arithmetic zeros
+    would.
     """
-    top = float(seq.max())
-    if scale is not None and top <= POSITIVITY_RTOL * scale:
-        return False
-    return top > 0.0 and float(seq.min()) > POSITIVITY_RTOL * top
+    top = seq.max(axis=-1)
+    ok = (top > 0) & (seq.min(axis=-1) > POSITIVITY_RTOL * top)
+    if scale is not None:
+        ok &= top > POSITIVITY_RTOL * scale
+    return ok
 
 
-def reverse_fidelity_product_bound(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
+def reverse_fidelity_product(inst: Instance) -> BoundResult:
     """Omega * (sum_i c_i d_i)^2 with c, d the absolute weighted sequences.
 
     Defined only when every entry of both sequences is strictly positive
     (threshold ``1e-12`` relative to the largest entry); the pairing follows
     the same sorted-signed arrangement used by the fidelity product bound.
     """
-    seqs = sorted_weight_sequences(state, a, b)
+    seqs = inst.sequences
     c = np.abs(seqs.u)
     d = np.abs(seqs.v)
-    from .moments import expectation
-
-    scale_a = float(np.abs(a.eigenvalues - expectation(state, a)).max())
-    scale_b = float(np.abs(b.eigenvalues - expectation(state, b)).max())
+    scale_a, scale_b = inst.eig_scales
     if not (_strictly_positive(c, scale_a) and _strictly_positive(d, scale_b)):
         return BoundResult.undefined("reverse_fidelity_product", HYPOTHESIS_REASON, c=c, d=d)
     rf = ReverseFactor.from_sequences(c, d)
+    omega = rf.factor
     s = float(np.dot(c, d))
     return BoundResult(
         kind="reverse_fidelity_product",
-        value=rf.factor * s**2,
+        value=omega * s**2,
         intermediates={
             "c": c,
             "d": d,
-            "omega": rf.factor,
+            "omega": omega,
             "paired_sum": s,
             "max_a": rf.max_a, "min_a": rf.min_a,
             "max_b": rf.max_b, "min_b": rf.min_b,
@@ -110,53 +126,54 @@ def reverse_fidelity_product_bound(state: QuantumState, a: Observable, b: Observ
     )
 
 
-def reverse_basis_product_bound(state: QuantumState, a: Observable, b: Observable,
-                                basis: OrthonormalBasis) -> BoundResult:
+def reverse_basis_product(inst: Instance, basis: OrthonormalBasis) -> BoundResult:
     """Lambda * (sum_n |alpha_n||beta_n|)^2 for a pure state and a chosen basis.
 
     By Polya-Szego it is at least ||alpha||^2 ||beta||^2 = Var A * Var B, with
     equality at a basis where all |alpha_n| are equal and all |beta_n| are
     equal; :func:`varbounds.optimize.optimize_reverse_product_bound` returns
-    such a basis and this minimum.
+    such a basis and this minimum.  The positivity floor is scaled by
+    ||A - <A>||_F and ||B - <B>||_F, so at an eigenstate of A or B the bound
+    is undefined in every basis.
     """
-    alpha, beta = _alpha_beta(state, a, b, basis)
+    alpha, beta = _alpha_beta(inst, basis)
     aa = np.abs(alpha)
     bb = np.abs(beta)
-    if not (_strictly_positive(aa) and _strictly_positive(bb)):
+    scale_a, scale_b = inst.frobenius_scales
+    if not (_strictly_positive(aa, scale_a) and _strictly_positive(bb, scale_b)):
         return BoundResult.undefined("reverse_basis_product", HYPOTHESIS_REASON,
                                      alpha_abs=aa, beta_abs=bb)
-    rf = ReverseFactor.from_sequences(aa, bb)
+    lam = ReverseFactor.from_sequences(aa, bb).factor
     s = float(np.dot(aa, bb))
     return BoundResult(
         kind="reverse_basis_product",
-        value=rf.factor * s**2,
+        value=lam * s**2,
         intermediates={
             "alpha_abs": aa,
             "beta_abs": bb,
-            "lambda": rf.factor,
+            "lambda": lam,
             "paired_sum": s,
         },
     )
 
 
-def _dw_ingredients(state: QuantumState, a: Observable, b: Observable):
-    ms = moments(state, a, b)
+def _dw_ingredients(ms: MomentSet):
     if ms.var_a <= 0.0 or ms.var_b <= 0.0:
-        return ms, None, NULL_DEVIATION_REASON
+        return None, NULL_DEVIATION_REASON
     denom = 1.0 - ms.cov / (ms.std_a * ms.std_b)
     if denom <= DENOMINATOR_TOL:
-        return ms, None, CORRELATED_REASON
-    return ms, denom, None
+        return None, CORRELATED_REASON
+    return denom, None
 
 
-def dw_deviation_sum_bound(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
+def dw_deviation_sum(inst: Instance) -> BoundResult:
     """Dunkl-Williams upper bound on Delta A + Delta B.
 
     sqrt(2) * Delta(A-B) / sqrt(1 - Cov/(Delta A Delta B)); works for mixed
     states through trace moments.
     """
-    check_dims(state, a, b)
-    ms, denom, reason = _dw_ingredients(state, a, b)
+    ms = inst.moments
+    denom, reason = _dw_ingredients(ms)
     var_diff = max(ms.var_a + ms.var_b - 2.0 * ms.cov, 0.0)
     if reason is not None:
         return BoundResult.undefined("dw_deviation_sum", reason,
@@ -173,10 +190,10 @@ def dw_deviation_sum_bound(state: QuantumState, a: Observable, b: Observable) ->
     )
 
 
-def dw_variance_sum_bound(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
+def dw_variance_sum(inst: Instance) -> BoundResult:
     """Squared Dunkl-Williams bound: 2 Delta(A-B)^2 / (1 - Cov/(DA DB)) - 2 DA DB."""
-    check_dims(state, a, b)
-    ms, denom, reason = _dw_ingredients(state, a, b)
+    ms = inst.moments
+    denom, reason = _dw_ingredients(ms)
     var_diff = max(ms.var_a + ms.var_b - 2.0 * ms.cov, 0.0)
     if reason is not None:
         return BoundResult.undefined("dw_variance_sum", reason,
@@ -191,3 +208,24 @@ def dw_variance_sum_bound(state: QuantumState, a: Observable, b: Observable) -> 
             "variance_sum": ms.var_a + ms.var_b,
         },
     )
+
+
+def reverse_fidelity_product_bound(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
+    """:func:`reverse_fidelity_product` of one state and pair."""
+    return reverse_fidelity_product(Instance(state, a, b))
+
+
+def reverse_basis_product_bound(state: QuantumState, a: Observable, b: Observable,
+                                basis: OrthonormalBasis) -> BoundResult:
+    """:func:`reverse_basis_product` of one pure state and pair, in ``basis``."""
+    return reverse_basis_product(Instance(state, a, b), basis)
+
+
+def dw_deviation_sum_bound(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
+    """:func:`dw_deviation_sum` of one state and pair."""
+    return dw_deviation_sum(Instance(state, a, b))
+
+
+def dw_variance_sum_bound(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
+    """:func:`dw_variance_sum` of one state and pair."""
+    return dw_variance_sum(Instance(state, a, b))

@@ -18,10 +18,12 @@ All math here is vectorized over instances.  The engine diagonalizes its
 observable stacks with ``np.linalg.eigh`` directly, the same LAPACK routine
 behind the scalar API's ``Observable``, and shares the sequence and pairing
 kernels with it (``sorted_weighted``, ``pairing_sums``,
-``parallelogram_values``); a test pins the batched formulas against the
-scalar API's.  Nothing here depends on eigenvector phases: only eigenvalues
-and the fidelities <v|rho|v> are used, and GUE spectra are non-degenerate
-with probability 1.
+``parallelogram_values``), the reverse bounds' positivity rule and reverse
+factor (``_strictly_positive``, ``ReverseFactor``) and the Frobenius scale
+of the basis floor (``deviation_norm``); a test pins the batched formulas
+against the scalar API's.  Nothing here depends on eigenvector phases:
+only eigenvalues and the fidelities <v|rho|v> are used, and GUE spectra
+are non-degenerate with probability 1.
 
 Any violation means an implementation bug: the inequalities are theorems.
 The report is deterministic under a fixed seed and carries no timestamps:
@@ -38,15 +40,16 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .linalg import require_hermitian
-from .lower_bounds import pairing_sums, parallelogram_values, sorted_weighted
+from .lower_bounds import pairing_sums, parallelogram_values
+from .moments import deviation_norm, sorted_weighted
 from .optimize import RNG_NAME
 from .random_ensembles import gue_hermitian, haar_state, haar_unitary, wishart_density_matrix
+from .upper_bounds import ReverseFactor, _strictly_positive
 
 __all__ = ["VerificationReport", "Violation", "run_verification"]
 
 TOL = 1e-10
 INVARIANCE_TOL = 1e-10
-POSITIVITY_RTOL = 1e-12
 SUBSET = 200  # instances per dimension used for the invariance re-computations
 
 CHECKS = (
@@ -148,21 +151,6 @@ def _tr_product(rho: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nji->n", rho, m)
 
 
-def _strict_pos_mask(seq_abs: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
-    top = seq_abs.max(axis=1)
-    ok = (top > 0) & (seq_abs.min(axis=1) > POSITIVITY_RTOL * top)
-    if scale is not None:
-        ok &= top > POSITIVITY_RTOL * scale
-    return ok
-
-
-def _reverse_factor(c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    cmax, cmin = c.max(axis=1), c.min(axis=1)
-    dmax, dmin = d.max(axis=1), d.min(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (cmax * dmax + cmin * dmin) ** 2 / (4.0 * cmax * dmax * cmin * dmin)
-
-
 def _verify_dimension(d: int, n: int, seed: int, acc: _Accumulator) -> None:
     rng = np.random.default_rng([seed, d])
     psi = haar_state(rng, d, n)
@@ -220,9 +208,9 @@ def _verify_dimension(d: int, n: int, seed: int, acc: _Accumulator) -> None:
     c_seq, d_seq = np.abs(u), np.abs(v)
     scale_a = np.abs(wa - mean_a[:, None]).max(axis=1)
     scale_b = np.abs(wb - mean_b[:, None]).max(axis=1)
-    rev_defined = _strict_pos_mask(c_seq, scale_a) & _strict_pos_mask(d_seq, scale_b)
+    rev_defined = _strictly_positive(c_seq, scale_a) & _strictly_positive(d_seq, scale_b)
     acc.count_undefined("upper_reverse_fidelity_product", rev_defined, every)
-    omega = _reverse_factor(c_seq, d_seq)
+    omega = ReverseFactor.from_sequences(c_seq, d_seq).factor
     rev_fid = omega * np.einsum("ni,ni->n", c_seq, d_seq) ** 2
     acc.record("upper_reverse_fidelity_product", product - rev_fid, rev_defined, digest)
     acc.record("omega_factor_ge_one", 1.0 - omega, rev_defined, digest)
@@ -271,9 +259,10 @@ def _verify_dimension(d: int, n: int, seed: int, acc: _Accumulator) -> None:
     eig_prod = np.einsum("nm,nm->n", alpha_e, beta_e) ** 2
     acc.record("chain_eigenbasis_ge_rs", rs - eig_prod, pure, digest)
 
-    rev_basis_defined = _strict_pos_mask(alpha) & _strict_pos_mask(beta) & pure
+    rev_basis_defined = (_strictly_positive(alpha, deviation_norm(a, mean_a))
+                         & _strictly_positive(beta, deviation_norm(b, mean_b)) & pure)
     acc.count_undefined("upper_reverse_basis_product", rev_basis_defined, pure)
-    lam = _reverse_factor(alpha, beta)
+    lam = ReverseFactor.from_sequences(alpha, beta).factor
     rev_basis = lam * np.einsum("nm,nm->n", alpha, beta) ** 2
     acc.record("upper_reverse_basis_product", product - rev_basis, rev_basis_defined, digest)
     acc.record("lambda_factor_ge_one", 1.0 - lam, rev_basis_defined, digest)

@@ -4,7 +4,14 @@ import json
 
 import numpy as np
 
-from varbounds.moments import deviation_vector
+from varbounds.moments import (
+    commutator_expectation,
+    covariance,
+    deviation_vector,
+    expectation,
+    variance,
+)
+from varbounds.upper_bounds import CORRELATED_REASON, HYPOTHESIS_REASON, NULL_DEVIATION_REASON
 
 
 def _d2_coefficient_moduli(f, g, th, ph):
@@ -102,3 +109,214 @@ def render_json_reference(obj) -> str:
     """The former ``reporting.render_json``: copy to plain Python values, then ``json.dumps``."""
     data = obj.to_json_dict()
     return json.dumps(_jsonable(data), indent=2, sort_keys=True) + "\n"
+
+
+# -- every bound on its own -------------------------------------------------------
+# The arithmetic of each bound before the bounds shared one set of moments,
+# plus the reverse basis bound's absolute positivity floor: each bound calls
+# the standalone moment functions itself and shares nothing with another
+# bound or with the library's Instance.  Values must agree bit for bit.
+PURE_ONLY = ("basis_product", "basis_sum", "mp_sum_1", "mp_sum_2", "reverse_basis_product",
+             "optimized_product", "optimized_sum")
+
+
+def _sorted_sequence(state, a):
+    """(sorted (a_i - <A>) sqrt(F_i), a_i - <A>)."""
+    ta = a.eigenvalues - expectation(state, a)
+    vecs = a.eigenvectors
+    if state.is_pure:
+        fid = np.abs(vecs.conj().T @ state.vector) ** 2
+    else:
+        fid = np.einsum("im,ij,jm->m", vecs.conj(), state.rho, vecs).real
+    raw = ta * np.sqrt(np.maximum(fid, 0.0))
+    return raw[np.argsort(raw, kind="stable")], ta
+
+
+def _positive(seq, scale):
+    top = float(seq.max())
+    return top > 1e-12 * scale and top > 0.0 and float(seq.min()) > 1e-12 * top
+
+
+def _reverse_value(c, d):
+    cmax, cmin, dmax, dmin = float(c.max()), float(c.min()), float(d.max()), float(d.min())
+    omega = (cmax * dmax + cmin * dmin) ** 2 / (4.0 * cmax * dmax * cmin * dmin)
+    return omega * float(np.dot(c, d)) ** 2
+
+
+def _coefficient_moduli(state, a, b, columns):
+    f = deviation_vector(state, a)
+    g = deviation_vector(state, b)
+    return np.abs(columns.conj().T @ f), np.abs(columns.conj().T @ g)
+
+
+def _gram_schmidt_complete(cols, dim):
+    out = list(cols)
+    for k in range(dim):
+        if len(out) == dim:
+            break
+        e = np.zeros(dim, dtype=np.complex128)
+        e[k] = 1.0
+        for c in out:
+            e = e - c * np.vdot(c, e)
+        n = np.linalg.norm(e)
+        if n > 1e-8:
+            out.append(e / n)
+    return np.column_stack(out)
+
+
+def _aligned_columns(state, a, b):
+    """The witness basis of the product and sum optima, or the standard basis."""
+    f = deviation_vector(state, a)
+    g = deviation_vector(state, b)
+    nf = np.linalg.norm(f)
+    ng = np.linalg.norm(g)
+    if nf < 1e-14 or ng < 1e-14:
+        return np.eye(f.size, dtype=np.complex128)
+    fh = f / nf
+    gh = g / ng
+    ov = np.vdot(fh, gh)
+    if abs(ov) > 0:
+        gh = gh * (np.conj(ov) / abs(ov))
+    cols = []
+    for cand in (fh + gh, fh - gh):
+        n = np.linalg.norm(cand)
+        if n > 1e-9:
+            cols.append(cand / n)
+    return _gram_schmidt_complete(cols, f.size)
+
+
+def _rs_product(state, a, b):
+    comm = commutator_expectation(state, a, b)
+    return abs(comm / 2.0) ** 2 + covariance(state, a, b) ** 2
+
+
+def _basis_product(state, a, b, columns=None):
+    cols = np.eye(state.dim, dtype=np.complex128) if columns is None else columns
+    aa, bb = _coefficient_moduli(state, a, b, cols)
+    return float(np.dot(aa, bb) ** 2)
+
+
+def _basis_sum(state, a, b, columns=None):
+    cols = np.eye(state.dim, dtype=np.complex128) if columns is None else columns
+    aa, bb = _coefficient_moduli(state, a, b, cols)
+    return float(0.5 * ((aa + bb) ** 2).sum())
+
+
+def _fidelity_product(state, a, b):
+    u, _ = _sorted_sequence(state, a)
+    v, _ = _sorted_sequence(state, b)
+    asc = np.einsum("...i,...i->...", u, v)
+    alt = np.einsum("...i,...i->...", u, v[..., ::-1])
+    return max(float(asc**2), float(alt**2))
+
+
+def _parallelogram_sum(state, a, b):
+    u, _ = _sorted_sequence(state, a)
+    v, _ = _sorted_sequence(state, b)
+    return float(0.5 * ((u + v) ** 2).sum(axis=-1))
+
+
+def _mp_sum_1(state, a, b):
+    psi = state.vector
+    comm = commutator_expectation(state, a, b)
+    per_sign = {}
+    for sign in (1.0, -1.0):
+        w = (a.matrix - sign * 1j * b.matrix) @ psi
+        w = w - psi * np.vdot(psi, w)
+        per_sign[sign] = float((sign * 1j * comm).real) + float(np.vdot(w, w).real)
+    return per_sign[1.0] if per_sign[1.0] >= per_sign[-1.0] else per_sign[-1.0]
+
+
+def _mp_sum_2(state, a, b):
+    psi = state.vector
+    mv = (a.matrix + b.matrix) @ psi
+    mean = np.vdot(psi, mv).real
+    return 0.5 * max(np.vdot(mv, mv).real - mean**2, 0.0)
+
+
+def _reverse_fidelity_product(state, a, b):
+    u, ta = _sorted_sequence(state, a)
+    v, tb = _sorted_sequence(state, b)
+    c, d = np.abs(u), np.abs(v)
+    if not (_positive(c, float(np.abs(ta).max())) and _positive(d, float(np.abs(tb).max()))):
+        return None, HYPOTHESIS_REASON
+    return _reverse_value(c, d), "ok"
+
+
+def _reverse_basis_product(state, a, b):
+    aa, bb = _coefficient_moduli(state, a, b, np.eye(state.dim, dtype=np.complex128))
+    eye = np.eye(state.dim)
+    scale_a = np.linalg.norm(a.matrix - expectation(state, a) * eye)
+    scale_b = np.linalg.norm(b.matrix - expectation(state, b) * eye)
+    if not (_positive(aa, scale_a) and _positive(bb, scale_b)):
+        return None, HYPOTHESIS_REASON
+    return _reverse_value(aa, bb), "ok"
+
+
+def _dunkl_williams(state, a, b):
+    """(variance of A - B, denominator, Delta A, Delta B), or a reason."""
+    var_a, var_b = variance(state, a), variance(state, b)
+    cov = covariance(state, a, b)
+    if var_a <= 0.0 or var_b <= 0.0:
+        return NULL_DEVIATION_REASON
+    std_a, std_b = float(np.sqrt(var_a)), float(np.sqrt(var_b))
+    denom = 1.0 - cov / (std_a * std_b)
+    if denom <= 1e-12:
+        return CORRELATED_REASON
+    return max(var_a + var_b - 2.0 * cov, 0.0), denom, std_a, std_b
+
+
+def _dw_deviation_sum(state, a, b):
+    dw = _dunkl_williams(state, a, b)
+    if isinstance(dw, str):
+        return None, dw
+    var_diff, denom, _, _ = dw
+    return float(np.sqrt(2.0 * var_diff / denom)), "ok"
+
+
+def _dw_variance_sum(state, a, b):
+    dw = _dunkl_williams(state, a, b)
+    if isinstance(dw, str):
+        return None, dw
+    var_diff, denom, std_a, std_b = dw
+    return float(2.0 * var_diff / denom - 2.0 * std_a * std_b), "ok"
+
+
+def _optimized_product(state, a, b):
+    return _basis_product(state, a, b, _aligned_columns(state, a, b))
+
+
+def _optimized_sum(state, a, b):
+    return _basis_sum(state, a, b, _aligned_columns(state, a, b))
+
+
+REFERENCE_BOUNDS = {
+    "rs_product": _rs_product,
+    "basis_product": _basis_product,
+    "fidelity_product": _fidelity_product,
+    "parallelogram_sum": _parallelogram_sum,
+    "basis_sum": _basis_sum,
+    "mp_sum_1": _mp_sum_1,
+    "mp_sum_2": _mp_sum_2,
+    "reverse_fidelity_product": _reverse_fidelity_product,
+    "reverse_basis_product": _reverse_basis_product,
+    "dw_deviation_sum": _dw_deviation_sum,
+    "dw_variance_sum": _dw_variance_sum,
+    "optimized_product": _optimized_product,
+    "optimized_sum": _optimized_sum,
+}
+
+
+def reference_bound(bid, state, a, b):
+    """(value or None, status) of one bound, as ``compute_instance`` reports it."""
+    if bid in PURE_ONLY and not state.is_pure:
+        return None, "mixed state unsupported"
+    out = REFERENCE_BOUNDS[bid](state, a, b)
+    return out if isinstance(out, tuple) else (float(out), "ok")
+
+
+def reference_exact(state, a, b):
+    """Exact variance product, sum and deviation sum."""
+    var_a, var_b = variance(state, a), variance(state, b)
+    return {"product": var_a * var_b, "sum": var_a + var_b,
+            "dev_sum": float(np.sqrt(var_a)) + float(np.sqrt(var_b))}

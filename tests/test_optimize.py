@@ -7,6 +7,7 @@ from varbounds.errors import MixedStateUnsupported
 from varbounds.linalg import Observable, OrthonormalBasis, QuantumState, pauli_operators, spin1_operators
 from varbounds.lower_bounds import basis_product_bound, basis_sum_bound, rs_product_bound
 from varbounds.moments import variance
+from varbounds.random_ensembles import gue_hermitian
 from varbounds.optimize import (
     OptimizerConfig,
     aligned_basis,
@@ -203,6 +204,16 @@ class TestOptimizeReverse:
         a = random_hermitian(rng, d)
         f, g = _assert_flat_optimum(psi, a, -2.0 * a + eps * random_hermitian(rng, d))
         assert 1.0 - abs(np.vdot(f, g)) / (np.linalg.norm(f) * np.linalg.norm(g)) <= 1e-8
+
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_eigenstate_optimum_is_undefined(self, d):
+        # no basis meets the positivity hypothesis at an eigenstate of A
+        rng = np.random.default_rng(2)
+        a, b = gue_hermitian(rng, d), gue_hermitian(rng, d)
+        for psi in np.linalg.eigh(a)[1].T:
+            report = optimize_reverse_product_bound(QuantumState.pure(psi), Observable(a), Observable(b))
+            assert report.best_value == np.inf
 
 
 class TestOneDimension:

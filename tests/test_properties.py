@@ -83,23 +83,26 @@ def test_mp_sum_1_unitary_covariance(seed, d, eigenstate):
 # Polya-Szego equality, all |alpha_n| equal and all |beta_n| equal: the minimum
 # is Var A * Var B.  Variances here are ||(A - <A>) psi||^2, which stays
 # accurate relative to itself near eigenstates; an eigenstate's variance is
-# round-off, so the comparisons keep an absolute floor of 1e-24.
-def _reverse_values(aa, bb):
+# round-off, so the comparisons keep an absolute floor of 1e-24.  At an
+# eigenstate of A the reverse bound's positivity floor, 1e-12 of
+# ||A - <A>||_F, makes it undefined in every basis, so its minimum is +inf.
+def _reverse_values(aa, bb, scale_a, scale_b):
     """Lambda * (sum_n |alpha_n||beta_n|)^2 per row; +inf where an entry is not positive."""
     amax, amin, bmax, bmin = aa.max(axis=1), aa.min(axis=1), bb.max(axis=1), bb.min(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = (amax * bmax + amin * bmin) ** 2 / (4.0 * amax * bmax * amin * bmin)
-    ok = (amin > 1e-12 * amax) & (bmin > 1e-12 * bmax)
+    ok = ((amin > 1e-12 * amax) & (bmin > 1e-12 * bmax)
+          & (amax > 1e-12 * scale_a) & (bmax > 1e-12 * scale_b))
     return np.where(ok, lam * np.einsum("mn,mn->m", aa, bb) ** 2, np.inf)
 
 
 CLOSED_FORMS = {
     "product": (optimize_product_bound, basis_product_bound,
                 lambda va, vb: va * vb,
-                lambda aa, bb: np.einsum("mn,mn->m", aa, bb) ** 2),
+                lambda aa, bb, *scales: np.einsum("mn,mn->m", aa, bb) ** 2),
     "sum": (optimize_sum_bound, basis_sum_bound,
             lambda va, vb: 0.5 * (np.sqrt(va) + np.sqrt(vb)) ** 2,
-            lambda aa, bb: 0.5 * ((aa + bb) ** 2).sum(axis=1)),
+            lambda aa, bb, *scales: 0.5 * ((aa + bb) ** 2).sum(axis=1)),
     "reverse_product": (optimize_reverse_product_bound, reverse_basis_product_bound,
                         lambda va, vb: va * vb,
                         _reverse_values),
@@ -109,6 +112,11 @@ CLOSED_FORMS = {
 def _deviation(psi, m):
     mean = np.vdot(psi, m @ psi).real
     return m @ psi - mean * psi
+
+
+def _frobenius_scale(psi, m):
+    mean = np.vdot(psi, m @ psi).real
+    return np.linalg.norm(m - mean * np.eye(len(psi)))
 
 
 def _haar_unitaries(rng, n, d):
@@ -125,6 +133,8 @@ def test_basis_optimum_is_the_closed_form(seed, d, eigenstate, objective):
     optimize_bound, _, exact_of, _ = CLOSED_FORMS[objective]
     f, g = _deviation(psi, a), _deviation(psi, b)
     exact = exact_of(np.vdot(f, f).real, np.vdot(g, g).real)
+    if eigenstate and objective == "reverse_product":
+        exact = np.inf
     report = optimize_bound(QuantumState.pure(psi), Observable(a), Observable(b))
     assert report.best_value == pytest.approx(exact, rel=1e-12, abs=1e-24)
 
@@ -153,7 +163,7 @@ def test_no_random_basis_beats_the_basis_optimum(seed, d, eigenstate, objective)
     u = _haar_unitaries(rng, 200, d)
     aa = np.abs(np.einsum("mij,i->mj", u.conj(), _deviation(psi, a)))
     bb = np.abs(np.einsum("mij,i->mj", u.conj(), _deviation(psi, b)))
-    values = value_in(aa, bb)
+    values = value_in(aa, bb, _frobenius_scale(psi, a), _frobenius_scale(psi, b))
     if report.mode == "max":
         assert values.max() <= best * (1 + 1e-12) + 1e-24
     else:  # undefined (+inf) values never beat the minimum

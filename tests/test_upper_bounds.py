@@ -12,7 +12,9 @@ from varbounds.linalg import (
 )
 from varbounds.lower_bounds import fidelity_product_bound, parallelogram_sum_bound
 from varbounds.moments import covariance, variance
+from varbounds.random_ensembles import gue_hermitian
 from varbounds.upper_bounds import (
+    HYPOTHESIS_REASON,
     ReverseFactor,
     dw_deviation_sum_bound,
     dw_variance_sum_bound,
@@ -99,8 +101,10 @@ class TestReverseBasis:
         assert not res.defined
 
     def test_rotated_basis_validity(self):
+        # (|0> + |1>)/sqrt2 is an eigenstate of sigma_x, where the bound is
+        # undefined in every basis; a state that is no eigenstate of either
         sx, sy, _ = pauli_operators()
-        s = QuantumState.pure(np.array([1.0, 1.0]) / np.sqrt(2))
+        s = QuantumState.pure([np.cos(0.3), np.sin(0.3) * np.exp(0.5j)])
         t = np.pi / 8
         u = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
         res = reverse_basis_product_bound(s, sx, sy, OrthonormalBasis(u))
@@ -130,6 +134,34 @@ class TestReverseBasis:
                     checked += 1
                     assert res.value >= variance(s, a) * variance(s, b) - 1e-10
         assert checked > 20
+
+
+class TestReverseBasisFloor:
+    """At an eigenstate of A the deviation vector is round-off dust, and the
+    positivity floor (1e-12 of ||A - <A>||_F) counts it as the zero it is."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_undefined_at_eigenstates(self, d):
+        rng = np.random.default_rng(2)
+        a, b = gue_hermitian(rng, d), gue_hermitian(rng, d)
+        vecs = np.linalg.eigh(a)[1]
+        for basis in (OrthonormalBasis.standard(d), OrthonormalBasis(np.linalg.qr(b)[0])):
+            for k in range(d):
+                for pair in ((a, b), (b, a)):  # an eigenstate of the first observable, then of the second
+                    state = QuantumState.pure(vecs[:, k])
+                    res = reverse_basis_product_bound(state, Observable(pair[0]),
+                                                      Observable(pair[1]), basis)
+                    assert not res.defined
+                    assert res.reason == HYPOTHESIS_REASON
+                    assert res.value == np.inf
+
+    def test_floor_leaves_generic_states_defined(self, rng):
+        for d in (2, 3, 4, 6):
+            for _ in range(20):
+                s = random_pure_state(rng, d)
+                a, b = random_observable(rng, d), random_observable(rng, d)
+                q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+                assert reverse_basis_product_bound(s, a, b, OrthonormalBasis(q)).defined
 
 
 class TestDunklWilliams:
