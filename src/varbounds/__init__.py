@@ -29,7 +29,6 @@ from .linalg import (
     spin1_operators,
 )
 from .moments import (
-    Instance,
     MomentSet,
     anticommutator_expectation,
     commutator_expectation,
@@ -74,7 +73,6 @@ __all__ = [
     "BoundResult",
     "ConfigError",
     "DimensionMismatch",
-    "Instance",
     "MixedStateUnsupported",
     "MomentSet",
     "NotHermitian",

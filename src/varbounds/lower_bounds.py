@@ -39,19 +39,12 @@ from .moments import (  # fidelity_weights and sorted_weighted are re-exported
 __all__ = [
     "BoundResult",
     "SortedWeightSequences",
-    "basis_product",
     "basis_product_bound",
-    "basis_sum",
     "basis_sum_bound",
-    "fidelity_product",
     "fidelity_product_bound",
-    "mp_sum_1",
-    "mp_sum_2",
     "mp_sum_bound_1",
     "mp_sum_bound_2",
-    "parallelogram_sum",
     "parallelogram_sum_bound",
-    "rs_product",
     "rs_product_bound",
     "sorted_weight_sequences",
 ]

@@ -8,14 +8,14 @@ formulas.
 :class:`Instance` holds one state and one pair of observables with every
 moment a bound reads.  A sweep builds one per row and ``compute_instance``
 one per call, and every bound of that row or call reads the same instance,
-so the dimension check and each moment run once.  The standalone functions
-(:func:`expectation`, :func:`variance`, ...) compute the same values with
-the same floating-point expressions, one at a time.
+so the dimension check runs once and each moment at most once: the means
+when the instance is built, the rest when a bound first reads it.  The
+standalone functions (:func:`expectation`, :func:`variance`, ...) compute
+the same values with the same floating-point expressions, one at a time.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,9 +25,7 @@ from .errors import MixedStateUnsupported, NumericalConsistencyError
 from .linalg import Observable, QuantumState, check_dims
 
 __all__ = [
-    "Instance",
     "MomentSet",
-    "SortedWeightSequences",
     "anticommutator_expectation",
     "commutator_expectation",
     "covariance",
@@ -55,11 +53,11 @@ class MomentSet:
 
     @property
     def std_a(self) -> float:
-        return math.sqrt(self.var_a)
+        return float(np.sqrt(self.var_a))
 
     @property
     def std_b(self) -> float:
-        return math.sqrt(self.var_b)
+        return float(np.sqrt(self.var_b))
 
 
 def _expect_matrix(state: QuantumState, m: np.ndarray) -> complex:
@@ -156,9 +154,8 @@ def fidelity_weights(state: QuantumState, a: Observable) -> np.ndarray:
 def sorted_weighted(values: np.ndarray, weights: np.ndarray):
     """Sort ``values * sqrt(weights)`` ascending; batched over leading axes."""
     raw = values * np.sqrt(np.maximum(weights, 0.0))
-    # a stable sort moves the entries exactly as the stable order does, and
-    # costs less than gathering them along that order
-    return np.sort(raw, axis=-1, kind="stable"), np.argsort(raw, axis=-1, kind="stable")
+    order = np.argsort(raw, axis=-1, kind="stable")
+    return np.take_along_axis(raw, order, axis=-1), order
 
 
 @dataclass(frozen=True)
@@ -180,11 +177,12 @@ class Instance:
     """A state and a pair of observables, with the moments every bound reads.
 
     Building it checks the dimensions once and computes A psi, B psi (pure
-    states), <A>, <B>, <AB>, both variances and the covariance, with the
-    expressions of :func:`expectation`, :func:`variance` and
-    :func:`covariance`; mixed states use the trace formulas.  The deviation
-    vectors, the fidelity-weighted sequences and the two deviation scales
-    are computed on first read and kept.
+    states), <A> and <B>, with the expressions of :func:`expectation`;
+    mixed states use the trace formulas.  ``moments`` (<AB>, both variances
+    and the covariance), the deviation vectors, the fidelity-weighted
+    sequences and the two deviation scales are computed on first read and
+    kept, so a bound that reads only the means and deviations (the basis
+    bounds, the fidelity sequences, every optimum) computes no variance.
     """
 
     def __init__(self, state: QuantumState, a: Observable, b: Observable):
@@ -196,19 +194,29 @@ class Instance:
             psi = state.vector
             self.a_psi = a.matrix @ psi
             self.b_psi = b.matrix @ psi
-            mean_a = _real(complex(np.vdot(psi, self.a_psi)))
-            mean_b = _real(complex(np.vdot(psi, self.b_psi)))
-            z = _expect_matrix(state, a.matrix @ b.matrix)
+            self.mean_a = _real(complex(np.vdot(psi, self.a_psi)))
+            self.mean_b = _real(complex(np.vdot(psi, self.b_psi)))
+        else:
+            self.a_psi = self.b_psi = None
+            self.mean_a = _real_expect(state, a.matrix)
+            self.mean_b = _real_expect(state, b.matrix)
+
+    @cached_property
+    def moments(self) -> MomentSet:
+        """<AB>, both variances and the covariance.
+
+        The expressions are those of :func:`variance` and :func:`covariance`.
+        """
+        state, a, b = self.state, self.a, self.b
+        mean_a, mean_b = self.mean_a, self.mean_b
+        z = _expect_matrix(state, a.matrix @ b.matrix)
+        if state.is_pure:
             second_a = float(np.vdot(self.a_psi, self.a_psi).real)
             second_b = float(np.vdot(self.b_psi, self.b_psi).real)
         else:
-            self.a_psi = self.b_psi = None
-            mean_a = _real_expect(state, a.matrix)
-            mean_b = _real_expect(state, b.matrix)
-            z = _expect_matrix(state, a.matrix @ b.matrix)
             second_a = _real_expect(state, a.matrix @ a.matrix)
             second_b = _real_expect(state, b.matrix @ b.matrix)
-        self.moments = MomentSet(
+        return MomentSet(
             mean_a=mean_a,
             mean_b=mean_b,
             var_a=clamp_variance(second_a - mean_a**2),
@@ -227,21 +235,21 @@ class Instance:
     def dev_a(self) -> np.ndarray:
         """(A - <A>) psi, as :func:`deviation_vector` computes it."""
         psi = self._pure_vector()
-        return self.a_psi - self.moments.mean_a * psi
+        return self.a_psi - self.mean_a * psi
 
     @cached_property
     def dev_b(self) -> np.ndarray:
         psi = self._pure_vector()
-        return self.b_psi - self.moments.mean_b * psi
+        return self.b_psi - self.mean_b * psi
 
     @cached_property
     def eig_dev_a(self) -> np.ndarray:
         """Eigenvalue deviations a_i - <A>."""
-        return self.a.eigenvalues - self.moments.mean_a
+        return self.a.eigenvalues - self.mean_a
 
     @cached_property
     def eig_dev_b(self) -> np.ndarray:
-        return self.b.eigenvalues - self.moments.mean_b
+        return self.b.eigenvalues - self.mean_b
 
     @cached_property
     def sequences(self) -> SortedWeightSequences:
@@ -263,9 +271,8 @@ class Instance:
     @cached_property
     def frobenius_scales(self) -> tuple[float, float]:
         """||A - <A>||_F and ||B - <B>||_F (see :func:`deviation_norm`)."""
-        ms = self.moments
-        return (float(deviation_norm(self.a.matrix, ms.mean_a)),
-                float(deviation_norm(self.b.matrix, ms.mean_b)))
+        return (float(deviation_norm(self.a.matrix, self.mean_a)),
+                float(deviation_norm(self.b.matrix, self.mean_b)))
 
 
 def moments(state: QuantumState, a: Observable, b: Observable) -> MomentSet:

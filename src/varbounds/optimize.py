@@ -38,8 +38,6 @@ __all__ = [
     "optimize_product_bound",
     "optimize_reverse_product_bound",
     "optimize_sum_bound",
-    "product_optimum",
-    "sum_optimum",
 ]
 
 DEFAULT_SEED = 0xDEBA515

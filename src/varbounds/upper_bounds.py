@@ -33,13 +33,9 @@ from .moments import Instance, MomentSet
 
 __all__ = [
     "ReverseFactor",
-    "dw_deviation_sum",
     "dw_deviation_sum_bound",
-    "dw_variance_sum",
     "dw_variance_sum_bound",
-    "reverse_basis_product",
     "reverse_basis_product_bound",
-    "reverse_fidelity_product",
     "reverse_fidelity_product_bound",
 ]
 
@@ -73,9 +69,11 @@ class ReverseFactor:
 
     @classmethod
     def from_sequences(cls, c: np.ndarray, d: np.ndarray) -> "ReverseFactor":
-        """Extrema along the last axis."""
-        return cls(max_a=c.max(axis=-1), min_a=c.min(axis=-1),
-                   max_b=d.max(axis=-1), min_b=d.min(axis=-1))
+        """Extrema along the last axis; Python floats for one pair of sequences."""
+        ext = (c.max(axis=-1), c.min(axis=-1), d.max(axis=-1), d.min(axis=-1))
+        if c.ndim == 1:
+            ext = tuple(float(x) for x in ext)
+        return cls(*ext)
 
 
 def _strictly_positive(seq: np.ndarray, scale=None) -> np.ndarray:

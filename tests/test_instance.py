@@ -163,3 +163,21 @@ def test_instance_reads_are_kept():
     assert inst.frobenius_scales[0] >= inst.eig_scales[0]
     assert math.isclose(inst.frobenius_scales[0] ** 2,
                         float(np.sum(np.abs(a.matrix - inst.moments.mean_a * np.eye(a.dim)) ** 2)))
+
+
+def test_means_only_bounds_compute_no_moments():
+    # the basis, fidelity and reverse bounds and the optima read the means and
+    # deviations; <AB> and the variances are computed only when read
+    from varbounds.lower_bounds import basis_product, fidelity_product
+    from varbounds.optimize import product_optimum
+    from varbounds.upper_bounds import reverse_basis_product, reverse_fidelity_product
+
+    _, state, a, b = CASES[0]
+    inst = Instance(state, a, b)
+    basis = product_optimum(inst).best_basis
+    for formula in (fidelity_product, reverse_fidelity_product):
+        formula(inst)
+    for formula in (basis_product, reverse_basis_product):
+        formula(inst, basis)
+    assert "moments" not in vars(inst)
+    assert inst.moments.mean_a == inst.mean_a and "moments" in vars(inst)

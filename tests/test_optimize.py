@@ -3,9 +3,16 @@ import pytest
 
 from conftest import random_hermitian, random_observable, random_pure_state
 from oracles import scan_basis_bound_d2
-from varbounds.errors import MixedStateUnsupported
+from varbounds.errors import MixedStateUnsupported, NumericalConsistencyError
 from varbounds.linalg import Observable, OrthonormalBasis, QuantumState, pauli_operators, spin1_operators
-from varbounds.lower_bounds import basis_product_bound, basis_sum_bound, rs_product_bound
+from varbounds.lower_bounds import (
+    basis_product_bound,
+    basis_sum_bound,
+    fidelity_product_bound,
+    mp_sum_bound_2,
+    parallelogram_sum_bound,
+    rs_product_bound,
+)
 from varbounds.moments import variance
 from varbounds.random_ensembles import gue_hermitian
 from varbounds.optimize import (
@@ -15,7 +22,7 @@ from varbounds.optimize import (
     optimize_reverse_product_bound,
     optimize_sum_bound,
 )
-from varbounds.upper_bounds import reverse_basis_product_bound
+from varbounds.upper_bounds import reverse_basis_product_bound, reverse_fidelity_product_bound
 
 KET0 = QuantumState.pure([1.0, 0.0])
 FAST = OptimizerConfig(restarts=4)
@@ -214,6 +221,37 @@ class TestOptimizeReverse:
         for psi in np.linalg.eigh(a)[1].T:
             report = optimize_reverse_product_bound(QuantumState.pure(psi), Observable(a), Observable(b))
             assert report.best_value == np.inf
+
+
+class TestLargeSpectrumEigenstates:
+    """Round-off at an eigenstate of 100 * GUE can take a variance below the
+    clamp's absolute -1e-12.  The optima and the basis and fidelity bounds
+    read only the means and deviations, so they still return values."""
+
+    def test_no_bound_computes_a_variance(self):
+        rng = np.random.default_rng(4)
+        states, raised = [], 0
+        for _ in range(10):
+            a, b = Observable(100 * gue_hermitian(rng, 4)), Observable(100 * gue_hermitian(rng, 4))
+            for psi in np.linalg.eigh(a.matrix)[1].T:
+                s = QuantumState.pure(psi)
+                try:
+                    variance(s, a)
+                except NumericalConsistencyError:
+                    raised += 1
+                states.append((s, a, b))
+        assert raised > 0  # the case is exercised
+        std = OrthonormalBasis.standard(4)
+        for s, a, b in states:
+            assert np.isfinite(optimize_product_bound(s, a, b).best_value)
+            assert np.isfinite(optimize_sum_bound(s, a, b).best_value)
+            assert optimize_reverse_product_bound(s, a, b).best_value == np.inf
+            assert np.isfinite(basis_product_bound(s, a, b, std).value)
+            assert np.isfinite(basis_sum_bound(s, a, b, std).value)
+            assert not reverse_basis_product_bound(s, a, b, std).defined
+            assert not reverse_fidelity_product_bound(s, a, b).defined
+            for bound in (fidelity_product_bound, parallelogram_sum_bound, mp_sum_bound_2):
+                assert np.isfinite(bound(s, a, b).value)
 
 
 class TestOneDimension:

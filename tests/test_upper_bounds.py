@@ -253,6 +253,19 @@ class TestGlobalProperties:
             rf = ReverseFactor.from_sequences(c, d)
             assert rf.factor >= 1.0 - 1e-12
 
+    def test_reverse_factor_of_one_pair_is_python_float(self):
+        sx, _, sz = pauli_operators()
+        s = QuantumState.pure([np.cos(np.pi / 8), np.sin(np.pi / 8)])
+        rf = ReverseFactor.from_sequences(np.array([0.5, 1.0]), np.array([0.25, 2.0]))
+        assert all(type(x) is float for x in (rf.max_a, rf.min_a, rf.max_b, rf.min_b, rf.factor))
+        fid = reverse_fidelity_product_bound(s, sx, sz)
+        bas = reverse_basis_product_bound(s, sx, sz, OrthonormalBasis.standard(2))
+        for res, key in ((fid, "omega"), (bas, "lambda")):
+            assert res.defined
+            assert type(res.value) is float and type(res.intermediates[key]) is float
+        stacked = ReverseFactor.from_sequences(np.ones((3, 2)), np.ones((3, 2)))
+        assert stacked.factor.shape == (3,)
+
     def test_reverse_factor_equality_condition(self):
         rf = ReverseFactor(max_a=2.0, min_a=1.0, max_b=0.5, min_b=1.0)
         assert rf.factor == pytest.approx(1.0)  # Ma*Mb == ma*mb
