@@ -35,7 +35,7 @@ standard = basis_product_bound(state, lx, ly, OrthonormalBasis.standard(3)).valu
 report = optimize_product_bound(state, lx, ly)
 print(f"exact product         : {product:.8f}")
 print(f"standard-basis bound  : {standard:.8f}")
-print(f"optimized bound       : {report.best_value:.8f} (at the {report.start_labels[0]} basis)")
+print(f"optimized bound       : {report.best_value:.8f} (at the {report.witness} basis)")
 
 sum_report = optimize_sum_bound(state, lx, ly)
 da, db = np.sqrt(variance(state, lx)), np.sqrt(variance(state, ly))
@@ -46,7 +46,7 @@ print(f"optimized sum bound   : {sum_report.best_value:.8f} "
 rev_report = optimize_reverse_product_bound(state, lx, ly)
 rev = reverse_basis_product_bound(state, lx, ly, rev_report.best_basis)
 print(f"\nminimized reverse     : {rev_report.best_value:.8f} (product {product:.8f}, "
-      f"at the {rev_report.start_labels[0]} basis)")
+      f"at the {rev_report.witness} basis)")
 print(f"Lambda at the witness : {rev.intermediates['lambda']:.15f}")
 print("flat basis (columns):")
 with np.printoptions(precision=4, suppress=True):

@@ -59,7 +59,6 @@ from .upper_bounds import (
 )
 from .optimize import (
     OptimizationReport,
-    OptimizerConfig,
     optimize_product_bound,
     optimize_reverse_product_bound,
     optimize_sum_bound,
@@ -79,7 +78,6 @@ __all__ = [
     "NumericalConsistencyError",
     "Observable",
     "OptimizationReport",
-    "OptimizerConfig",
     "OrthonormalBasis",
     "QuantumState",
     "ReverseFactor",

@@ -8,6 +8,10 @@ directory for bare ``--out`` file names.
 or a test, and returns the exit code.  It parses with one parser, built on
 the first call and kept for the life of the process; ``build_parser()``
 returns a fresh one.
+
+Every basis optimum is in closed form, so no sub-command takes an optimizer
+setting, and ``--seed`` belongs to ``verify`` alone.  The one exception is
+``optimize --restarts N``, which is hidden and ignored.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ import argparse
 import functools
 import sys
 
-import numpy as np
-
 from .config import (
     load_instance,
     load_sweep_spec,
@@ -25,7 +27,6 @@ from .config import (
 )
 from .errors import VarboundsError
 from .optimize import (
-    OptimizerConfig,
     optimize_product_bound,
     optimize_reverse_product_bound,
     optimize_sum_bound,
@@ -41,37 +42,9 @@ _OBJECTIVES = {
 }
 
 
-def _add_optimizer_flags(parser: argparse.ArgumentParser) -> None:
-    base = OptimizerConfig()
-    group = parser.add_argument_group(
-        "optimizer (no effect)", "accepted for compatibility; every basis optimum is a "
-        "closed form, so these flags change no result")
-    group.add_argument("--restarts", type=int, default=None, help=f"random restarts (default {base.restarts})")
-    group.add_argument("--max-evals", type=int, default=None, help="objective evaluation budget per restart")
-    group.add_argument("--step-init", type=float, default=None, help="initial compass step")
-    group.add_argument("--step-min", type=float, default=None, help="terminal compass step")
-    group.add_argument("--tol", type=float, default=None, help="improvement threshold")
-
-
 def _add_io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="json")
     parser.add_argument("--out", default=None, help="output path (stdout when omitted)")
-
-
-def _optimizer_from_args(args) -> OptimizerConfig | None:
-    overrides = {
-        "restarts": args.restarts,
-        "max_evals": args.max_evals,
-        "step_init": args.step_init,
-        "step_min": args.step_min,
-        "tol": args.tol,
-    }
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    set_overrides = {k: v for k, v in overrides.items() if v is not None}
-    if not set_overrides:
-        return None
-    return OptimizerConfig(**{**OptimizerConfig().__dict__, **set_overrides})
 
 
 def _read_config(path: str) -> dict:
@@ -113,8 +86,7 @@ def _cmd_compute(args) -> int:
     cfg = _read_config(args.config)
     state, obs_a, obs_b = load_instance(cfg)
     bounds = tuple(args.bounds.replace(",", " ").split()) if args.bounds else None
-    result = compute_instance(state, obs_a, obs_b, bounds=bounds,
-                              optimizer=_optimizer_from_args(args))
+    result = compute_instance(state, obs_a, obs_b, bounds=bounds)
     if args.format == "json":
         _write(render_json(_JsonBlob(result)), args.out)
     else:
@@ -142,9 +114,6 @@ def _cmd_sweep(args) -> int:
         overrides["theta_count"] = args.theta_count
     if args.bounds is not None:
         overrides["bounds"] = tuple(args.bounds.replace(",", " ").split())
-    opt = _optimizer_from_args(args)
-    if opt is not None:
-        overrides["optimizer"] = opt
     if overrides:
         spec = SweepSpec(**{**spec.__dict__, **overrides})
     table = run_sweep(spec)
@@ -167,8 +136,7 @@ def _cmd_verify(args) -> int:
 def _cmd_optimize(args) -> int:
     cfg = _read_config(args.config)
     state, obs_a, obs_b = load_instance(cfg)
-    opt_cfg = _optimizer_from_args(args) or OptimizerConfig()
-    report = _OBJECTIVES[args.objective](state, obs_a, obs_b, cfg=opt_cfg)
+    report = _OBJECTIVES[args.objective](state, obs_a, obs_b)
     payload = {
         "objective": args.objective,
         "mode": report.mode,
@@ -177,23 +145,13 @@ def _cmd_optimize(args) -> int:
             [[c.real, c.imag] for c in report.best_basis.columns[:, k]]
             for k in range(report.best_basis.dim)
         ],
-        "restarts_used": report.restarts_used,
-        "evaluations": report.evaluations,
-        "converged": report.converged,
-        "trace": [{"start": label, "value": value}
-                  for (idx, value), label in zip(report.trace, report.start_labels)],
-        "config": dict(opt_cfg.__dict__),
+        "witness": report.witness,
     }
     if args.format == "json":
         _write(render_json(_JsonBlob(payload)), args.out)
     else:
-        flat = {k: v for k, v in payload.items() if not isinstance(v, (list, dict))}
-        text = _dict_to_csv(flat)
-        text += "".join(
-            f"trace.{entry['start']},{format_float(entry['value'])}\n"
-            for entry in payload["trace"] if np.isfinite(entry["value"])
-        )
-        _write(text, args.out)
+        flat = {k: v for k, v in payload.items() if not isinstance(v, list)}
+        _write(_dict_to_csv(flat), args.out)
     return 0
 
 
@@ -207,8 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="all bounds for one configured instance")
     p.add_argument("--config", required=True, help="instance config file")
     p.add_argument("--bounds", default=None, help="bound ids (comma or space separated)")
-    p.add_argument("--seed", type=int, default=None)
-    _add_optimizer_flags(p)
     _add_io_flags(p)
     p.set_defaults(func=_cmd_compute)
 
@@ -219,8 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-stop", type=float, default=None)
     p.add_argument("--theta-count", type=int, default=None)
     p.add_argument("--bounds", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    _add_optimizer_flags(p)
     _add_io_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -232,16 +186,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
-        "optimize", help="basis optimum for one instance, with trace",
+        "optimize", help="basis optimum for one instance, with its witness basis",
         description="Basis optimum of one instance, in closed form: product and sum are "
         "maxima, Var A * Var B and (Delta A + Delta B)^2 / 2, reached at the aligned basis; "
         "reverse_product is a minimum, Var A * Var B, reached at the flat basis (all "
-        "coefficient moduli of each deviation vector equal).  The report gives the witness "
-        "basis and a one-entry trace; the optimizer flags have no effect.")
+        "coefficient moduli of each deviation vector equal).  The report gives the value, "
+        "the witness basis and the witness's name.")
     p.add_argument("--config", required=True)
     p.add_argument("--objective", choices=tuple(_OBJECTIVES), default="product")
-    p.add_argument("--seed", type=int, default=None)
-    _add_optimizer_flags(p)
+    # Hidden and ignored: the benchmark's search workload (bench/workloads.py)
+    # still passes --restarts.  It goes with ROADMAP item 2's search re-mix.
+    p.add_argument("--restarts", type=int, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     _add_io_flags(p)
     p.set_defaults(func=_cmd_optimize)
 

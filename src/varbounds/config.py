@@ -8,8 +8,10 @@ Grammar (documented in the README):
 * matrix literals list rows separated by ``;`` with entries separated by
   whitespace or commas; vectors are a single row.
 
-Sections used by the tools: ``[sweep]``, ``[state]``, ``[observables]``,
-``[optimizer]``.
+Sections used by the tools: ``[sweep]``, ``[state]``, ``[observables]``.
+The ``[optimizer]`` section of the basis search is rejected with a
+:class:`~varbounds.errors.ConfigError`: every basis optimum is in closed
+form, so none of its keys could change a result.
 """
 
 from __future__ import annotations
@@ -20,12 +22,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .linalg import Observable, QuantumState, qubit_state_from_bloch
-from .optimize import OptimizerConfig
 from .sweep import SweepSpec, named_observable, state_family
 
 __all__ = [
     "load_instance",
-    "load_optimizer_config",
     "load_sweep_spec",
     "parse_complex",
     "parse_config",
@@ -45,6 +45,10 @@ def parse_config(text: str) -> dict:
             current = line[1:-1].strip().lower()
             if not current:
                 raise ConfigError(f"line {lineno}: empty section name")
+            if current == "optimizer":
+                raise ConfigError(f"line {lineno}: the [optimizer] section was removed: every "
+                                  "basis optimum is now closed-form, so no optimizer setting "
+                                  "has an effect")
             sections.setdefault(current, {})
             continue
         if "=" not in line:
@@ -102,21 +106,6 @@ def _get_int(section: dict, key: str, default: int) -> int:
         raise ConfigError(f"{key}: not an integer: {section[key]!r}") from None
 
 
-def load_optimizer_config(cfg: dict) -> OptimizerConfig | None:
-    sec = cfg.get("optimizer")
-    if not sec:
-        return None
-    base = OptimizerConfig()
-    return OptimizerConfig(
-        restarts=_get_int(sec, "restarts", base.restarts),
-        seed=_get_int(sec, "seed", base.seed),
-        max_evals=_get_int(sec, "max_evals", base.max_evals),
-        step_init=_get_float(sec, "step_init", base.step_init),
-        step_min=_get_float(sec, "step_min", base.step_min),
-        tol=_get_float(sec, "tol", base.tol),
-    )
-
-
 def _load_observable(value: str) -> Observable:
     if ";" in value or "," in value:
         return Observable(parse_matrix(value))
@@ -163,7 +152,6 @@ def load_sweep_spec(cfg: dict) -> SweepSpec:
         theta_stop=_get_float(sec, "theta_stop", math.pi),
         theta_count=_get_int(sec, "theta_count", 181),
         bounds=bounds,
-        optimizer=load_optimizer_config(cfg),
     )
     if preset == "custom":
         state_sec = cfg.get("state", {})

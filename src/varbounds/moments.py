@@ -77,10 +77,17 @@ def _real_expect(state: QuantumState, m: np.ndarray) -> float:
     return _real(_expect_matrix(state, m))
 
 
-def clamp_variance(v: float) -> float:
-    """Clamp round-off negatives to zero; larger negatives are a bug."""
-    if v < -NEGATIVE_VARIANCE_TOL:
-        raise NumericalConsistencyError(f"variance {v!r} below -{NEGATIVE_VARIANCE_TOL}")
+def clamp_variance(v: float, second: float = 0.0) -> float:
+    """Clamp round-off negatives of v = <A^2> - <A>^2 to zero; larger ones are a bug.
+
+    The floor is -1e-12 * max(1, <A^2>), with <A^2> passed as ``second``:
+    the subtraction loses about eps * <A^2> to cancellation, so at an
+    eigenstate of an observable with a large spectrum the round-off can
+    pass any absolute floor.
+    """
+    floor = NEGATIVE_VARIANCE_TOL * max(1.0, second)
+    if v < -floor:
+        raise NumericalConsistencyError(f"variance {v!r} below -{floor!r}")
     return max(v, 0.0)
 
 
@@ -98,7 +105,7 @@ def variance(state: QuantumState, a: Observable) -> float:
         second = float(np.real(np.vdot(av, av)))
     else:
         second = _real_expect(state, a.matrix @ a.matrix)
-    return clamp_variance(second - expectation(state, a) ** 2)
+    return clamp_variance(second - expectation(state, a) ** 2, second)
 
 
 def covariance(state: QuantumState, a: Observable, b: Observable) -> float:
@@ -219,8 +226,8 @@ class Instance:
         return MomentSet(
             mean_a=mean_a,
             mean_b=mean_b,
-            var_a=clamp_variance(second_a - mean_a**2),
-            var_b=clamp_variance(second_b - mean_b**2),
+            var_a=clamp_variance(second_a - mean_a**2, second_a),
+            var_b=clamp_variance(second_b - mean_b**2, second_b),
             cov=z.real - mean_a * mean_b,
             comm_expect=2j * z.imag,
             anticomm_expect=2.0 * z.real,

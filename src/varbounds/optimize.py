@@ -13,16 +13,15 @@ equality when all |alpha_n| are equal and all |beta_n| are equal (then
 Lambda = 1).  Such a basis exists at every d >= 2, so the minimum over bases
 is Var A * Var B; :func:`flat_basis` is the witness that attains it.
 
-Each ``optimize_*`` function returns its witness basis and the bound
-evaluated there, with no search: a one-entry trace, zero evaluations,
-``converged`` true.  :class:`OptimizerConfig` and the optimizer CLI and
-config flags are still accepted, and have no effect on any optimum.
+Each ``optimize_*`` function returns its witness basis, the witness's
+name and the bound evaluated there; nothing is searched.  Both witnesses
+are completed to a full basis by one Householder QR (:func:`_frame`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,87 +33,33 @@ from .upper_bounds import reverse_basis_product
 
 __all__ = [
     "OptimizationReport",
-    "OptimizerConfig",
     "optimize_product_bound",
     "optimize_reverse_product_bound",
     "optimize_sum_bound",
 ]
 
-DEFAULT_SEED = 0xDEBA515
-RNG_NAME = "pcg64"
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Knobs of the basis search the closed forms replaced.
-
-    Still accepted by every optimum, by sweeps, and as CLI flags and
-    ``[optimizer]`` config keys; no field changes any result.
-    """
-
-    restarts: int = 32
-    seed: int = DEFAULT_SEED
-    max_evals: int = 20_000
-    step_init: float = math.pi / 4
-    step_min: float = 1e-7
-    tol: float = 1e-12
-
 
 @dataclass
 class OptimizationReport:
+    """A basis optimum: its value, the witness basis and the witness's name.
+
+    ``mode`` is ``max`` for the lower bounds and ``min`` for the reverse
+    bound; ``witness`` is ``aligned`` or ``flat``.
+    """
+
     best_value: float
     best_basis: OrthonormalBasis
-    restarts_used: int
-    evaluations: int
-    converged: bool
-    trace: list = field(default_factory=list)  # (start index, start's best value)
-    mode: str = "max"
-    start_labels: tuple = ()
+    mode: str
+    witness: str
 
-
-def _gram_schmidt_complete(cols: list[np.ndarray], dim: int) -> np.ndarray:
-    """Complete a partial orthonormal column list to a full basis."""
-    out = list(cols)
-    for k in range(dim):
-        if len(out) == dim:
-            break
-        e = np.zeros(dim, dtype=np.complex128)
-        e[k] = 1.0
-        for c in out:
-            e = e - c * np.vdot(c, e)
-        n = np.linalg.norm(e)
-        if n > 1e-8:
-            out.append(e / n)
-    return np.column_stack(out)
-
-
-def aligned_basis(f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-    """Basis whose columns carry proportional weights of ``f`` and ``g``.
-
-    After phase-aligning g to f, the two columns (f_hat + g_hat) and
-    (f_hat - g_hat) (normalized) satisfy |<col|f>|/||f|| = |<col|g>|/||g||,
-    which is the Cauchy-Schwarz equality case of the basis product bound.
-    Returns None when either vector is numerically null.
-    """
-    nf = np.linalg.norm(f)
-    ng = np.linalg.norm(g)
-    if nf < 1e-14 or ng < 1e-14:
-        return None
-    fh = f / nf
-    gh = g / ng
-    ov = np.vdot(fh, gh)
-    if abs(ov) > 0:
-        gh = gh * (np.conj(ov) / abs(ov))
-    cols = []
-    for cand in (fh + gh, fh - gh):
-        n = np.linalg.norm(cand)
-        if n > 1e-9:
-            cols.append(cand / n)
-    return _gram_schmidt_complete(cols, f.size)
+    # Not fields: the benchmark's search tracer (bench/layers.py) still reads
+    # them.  They go with ROADMAP item 2's search re-mix and metric clean-up.
+    evaluations = 0
+    converged = True
 
 
 def _frame(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Unitary whose first two columns are u and the unit direction of v - <u|v> u.
+    """Unitary whose first two columns are u/||u|| and the unit part of v orthogonal to u.
 
     A Householder (complete) QR keeps the columns orthonormal to round-off
     even when v is nearly parallel to u, where one Gram-Schmidt pass would
@@ -125,6 +70,30 @@ def _frame(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     phase = np.ones(q.shape[1], dtype=np.complex128)
     phase[:2] = [z / abs(z) if z else 1.0 for z in np.diagonal(r)]
     return q * phase
+
+
+def aligned_basis(f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    """Basis whose columns carry proportional weights of ``f`` and ``g``.
+
+    Scale g to the norm of f and align its phase so that <f|g'> is real and
+    non-negative.  Then the bisectors f + g' and f - g' are orthogonal, and
+    each satisfies |<col|f>|/||f|| = |<col|g>|/||g||; every further column
+    is orthogonal to f and g.  That is the Cauchy-Schwarz equality case of
+    the basis product bound.  :func:`_frame` normalizes the bisectors and
+    completes the basis; where f is parallel to g the second bisector is
+    round-off, and the QR still returns an orthonormal basis.  Returns None
+    when either vector is numerically null.
+    """
+    nf = math.sqrt(np.vdot(f, f).real)
+    ng = math.sqrt(np.vdot(g, g).real)
+    if nf < 1e-14 or ng < 1e-14:
+        return None
+    ov = complex(np.vdot(f, g))
+    scale = nf / ng
+    if ov:
+        scale *= ov.conjugate() / abs(ov)
+    g = g * scale
+    return _frame(f + g, f - g)
 
 
 def flat_basis(f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
@@ -167,29 +136,19 @@ def _at_witness(inst: Instance, bound, witness, label: str, mode: str) -> Optimi
     When ``witness`` finds f or g null, the standard basis stands in.  At
     d=1, [[1]] is the only basis and f, g vanish up to round-off: the lower
     bounds are reported as 0, the reverse bound as its value there (+inf,
-    because its positivity hypothesis fails), with an empty trace.
+    because its positivity hypothesis fails).
     """
     if not inst.state.is_pure:
         raise MixedStateUnsupported("basis optimization is a pure-state construction")
     d = inst.dim
     if d == 1:
-        only = OrthonormalBasis(np.ones((1, 1)))
-        value = 0.0 if mode == "max" else float(bound(inst, only).value)
-        return OptimizationReport(best_value=value, best_basis=only, restarts_used=0,
-                                  evaluations=0, converged=True, mode=mode)
-    u = witness(inst.dev_a, inst.dev_b)
-    basis = OrthonormalBasis.standard(d) if u is None else OrthonormalBasis(u)
-    value = float(bound(inst, basis).value)
-    return OptimizationReport(
-        best_value=value,
-        best_basis=basis,
-        restarts_used=0,
-        evaluations=0,
-        converged=True,
-        trace=[(0, value)],
-        mode=mode,
-        start_labels=(label,),
-    )
+        basis = OrthonormalBasis(np.ones((1, 1)))
+        value = 0.0 if mode == "max" else float(bound(inst, basis).value)
+    else:
+        u = witness(inst.dev_a, inst.dev_b)
+        basis = OrthonormalBasis.standard(d) if u is None else OrthonormalBasis(u)
+        value = float(bound(inst, basis).value)
+    return OptimizationReport(best_value=value, best_basis=basis, mode=mode, witness=label)
 
 
 def product_optimum(inst: Instance) -> OptimizationReport:
@@ -202,34 +161,31 @@ def sum_optimum(inst: Instance) -> OptimizationReport:
     return _at_witness(inst, basis_sum, aligned_basis, "aligned", "max")
 
 
-def optimize_product_bound(state: QuantumState, a: Observable, b: Observable,
-                           cfg: OptimizerConfig | None = None) -> OptimizationReport:
+def optimize_product_bound(state: QuantumState, a: Observable, b: Observable) -> OptimizationReport:
     """Maximum over bases of the basis product bound (sum_n |alpha_n||beta_n|)^2.
 
     It equals Var A * Var B and is reached at :func:`aligned_basis`, which the
-    report returns with a one-entry trace; ``cfg`` is accepted and unused.
+    report returns as its ``aligned`` witness.
     """
     return product_optimum(Instance(state, a, b))
 
 
-def optimize_sum_bound(state: QuantumState, a: Observable, b: Observable,
-                       cfg: OptimizerConfig | None = None) -> OptimizationReport:
+def optimize_sum_bound(state: QuantumState, a: Observable, b: Observable) -> OptimizationReport:
     """Maximum over bases of the basis sum bound (1/2) sum_n (|alpha_n|+|beta_n|)^2.
 
     It equals (Delta A + Delta B)^2 / 2 and is reached at :func:`aligned_basis`,
-    which the report returns with a one-entry trace; ``cfg`` is accepted and unused.
+    which the report returns as its ``aligned`` witness.
     """
     return sum_optimum(Instance(state, a, b))
 
 
-def optimize_reverse_product_bound(state: QuantumState, a: Observable, b: Observable,
-                                   cfg: OptimizerConfig | None = None) -> OptimizationReport:
+def optimize_reverse_product_bound(state: QuantumState, a: Observable,
+                                   b: Observable) -> OptimizationReport:
     """Minimum over bases of the reverse basis product bound (tightest upper bound).
 
     It equals Var A * Var B and is reached at :func:`flat_basis`, which the
-    report returns with a one-entry trace labelled ``flat``; ``cfg`` is
-    accepted and unused.  When f or g is zero, or is round-off dust at an
-    eigenstate, the bound is undefined in every basis and the report gives
-    +inf.
+    report returns as its ``flat`` witness.  When f or g is zero, or is
+    round-off dust at an eigenstate, the bound is undefined in every basis
+    and the report gives +inf.
     """
     return _at_witness(Instance(state, a, b), reverse_basis_product, flat_basis, "flat", "min")

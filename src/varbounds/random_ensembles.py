@@ -6,6 +6,8 @@ import numpy as np
 
 __all__ = ["gue_hermitian", "haar_state", "haar_unitary", "wishart_density_matrix"]
 
+RNG_NAME = "pcg64"  # the bit generator of np.random.default_rng, named in reports
+
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

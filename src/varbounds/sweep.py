@@ -22,14 +22,13 @@ so no sweep runs a search.
 ``optimized_product`` and ``optimized_sum`` are the basis bounds at the
 witness basis of :func:`varbounds.optimize.optimize_product_bound` and
 :func:`~varbounds.optimize.optimize_sum_bound`: Var A * Var B and
-(Delta A + Delta B)^2 / 2.  A sweep's optimizer config is accepted and
-recorded in the metadata, but does not change them.
+(Delta A + Delta B)^2 / 2.  A sweep draws no random numbers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +53,7 @@ from .lower_bounds import (
     rs_product,
 )
 from .moments import Instance
-from .optimize import RNG_NAME, OptimizerConfig, product_optimum, sum_optimum
+from .optimize import product_optimum, sum_optimum
 from .upper_bounds import (
     dw_deviation_sum,
     dw_variance_sum,
@@ -113,9 +112,7 @@ def _std_basis(inst):
 
 
 def _from_report(kind, report):
-    return BoundResult(kind=kind, value=report.best_value,
-                       intermediates={"evaluations": report.evaluations,
-                                      "converged": report.converged})
+    return BoundResult(kind=kind, value=report.best_value)
 
 
 BOUNDS = {
@@ -146,25 +143,21 @@ _PRESETS = {
         "family": "spin1_cos_sin",
         "observables": ("spin1_lx", "spin1_ly"),
         "bounds": ("rs_product", "fidelity_product", "optimized_product"),
-        "optimizer": OptimizerConfig(restarts=8),
     },
     "fig2": {
         "family": "spin1_cos_sin",
         "observables": ("spin1_lx", "spin1_ly"),
         "bounds": ("parallelogram_sum", "mp_sum_1", "mp_sum_2"),
-        "optimizer": None,
     },
     "fig3": {
         "family": "qubit_bloch_fig3",
         "observables": ("pauli_x", "pauli_z"),
         "bounds": ("reverse_fidelity_product",),
-        "optimizer": None,
     },
     "fig4": {
         "family": "qubit_bloch_fig3",
         "observables": ("pauli_x", "pauli_z"),
         "bounds": ("dw_variance_sum",),
-        "optimizer": None,
     },
 }
 
@@ -196,7 +189,6 @@ class SweepSpec:
     bounds: tuple | None = None  # None: preset defaults; () is exact-only
     observables: tuple | None = None  # pair of Observables, custom presets only
     state_family: str | None = None
-    optimizer: OptimizerConfig | None = None
 
     def __post_init__(self):
         if self.theta_count < 2:
@@ -232,8 +224,7 @@ def _resolve(spec: SweepSpec):
         obs_names = p["observables"]
         obs = (named_observable(obs_names[0]), named_observable(obs_names[1]))
         bounds = p["bounds"] if spec.bounds is None else tuple(spec.bounds)
-        optimizer = spec.optimizer or p["optimizer"] or OptimizerConfig(restarts=8)
-        return family, obs_names, obs, bounds, optimizer
+        return family, obs_names, obs, bounds
     if spec.preset != "custom":
         raise UnknownPreset(f"unknown preset {spec.preset!r}")
     if spec.state_family is None or spec.observables is None:
@@ -241,13 +232,12 @@ def _resolve(spec: SweepSpec):
     family = spec.state_family
     obs = tuple(spec.observables)
     bounds = tuple(spec.bounds) if spec.bounds is not None else ()
-    optimizer = spec.optimizer or OptimizerConfig(restarts=8)
-    return family, ("custom_a", "custom_b"), obs, bounds, optimizer
+    return family, ("custom_a", "custom_b"), obs, bounds
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the requested bounds over the theta grid of a sweep spec."""
-    family_name, obs_names, (obs_a, obs_b), bound_ids, optimizer = _resolve(spec)
+    family_name, obs_names, (obs_a, obs_b), bound_ids = _resolve(spec)
     for bid in bound_ids:
         if bid not in BOUNDS:
             raise UnknownBoundId(f"unknown bound id {bid!r}")
@@ -294,8 +284,6 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         "theta_stop": spec.theta_stop,
         "theta_count": spec.theta_count,
         "bounds": list(bound_ids),
-        "optimizer": asdict(optimizer),
-        "rng": RNG_NAME,
         "sigma2_reading": SIGMA2_NOTE,
         "versions": {"varbounds": _pkg_version, "numpy": np.__version__},
     }
@@ -314,12 +302,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
 
 def compute_instance(state: QuantumState, obs_a: Observable, obs_b: Observable,
-                     bounds: tuple | None = None,
-                     optimizer: OptimizerConfig | None = None) -> dict:
-    """All (applicable) bounds for a single state/observable-pair instance.
-
-    ``optimizer`` is accepted and changes no value.
-    """
+                     bounds: tuple | None = None) -> dict:
+    """All (applicable) bounds for a single state/observable-pair instance."""
     bound_ids = tuple(bounds) if bounds is not None else BOUND_IDS
     for bid in bound_ids:
         if bid not in BOUNDS:

@@ -42,9 +42,14 @@ from . import __version__ as _pkg_version
 from .linalg import require_hermitian
 from .lower_bounds import pairing_sums, parallelogram_values
 from .moments import deviation_norm, sorted_weighted
-from .optimize import RNG_NAME
-from .random_ensembles import gue_hermitian, haar_state, haar_unitary, wishart_density_matrix
-from .upper_bounds import ReverseFactor, _strictly_positive
+from .random_ensembles import (
+    RNG_NAME,
+    gue_hermitian,
+    haar_state,
+    haar_unitary,
+    wishart_density_matrix,
+)
+from .upper_bounds import DENOMINATOR_TOL, ReverseFactor, _strictly_positive
 
 __all__ = ["VerificationReport", "Violation", "run_verification"]
 
@@ -225,7 +230,7 @@ def _verify_dimension(d: int, n: int, seed: int, acc: _Accumulator) -> None:
     nonnull = (var_a > 0) & (var_b > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = 1.0 - cov / np.where(nonnull, std_a * std_b, 1.0)
-    dw_defined = nonnull & (denom > 1e-12)
+    dw_defined = nonnull & (denom > DENOMINATOR_TOL)
     acc.count_undefined("upper_dw_deviation_sum", dw_defined, every)
     acc.count_undefined("upper_dw_variance_sum", dw_defined, every)
     var_diff = np.maximum(total - 2.0 * cov, 0.0)

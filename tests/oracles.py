@@ -1,6 +1,7 @@
 """Independent test oracles, kept apart from the production paths."""
 
 import json
+import math
 
 import numpy as np
 
@@ -149,40 +150,28 @@ def _coefficient_moduli(state, a, b, columns):
     return np.abs(columns.conj().T @ f), np.abs(columns.conj().T @ g)
 
 
-def _gram_schmidt_complete(cols, dim):
-    out = list(cols)
-    for k in range(dim):
-        if len(out) == dim:
-            break
-        e = np.zeros(dim, dtype=np.complex128)
-        e[k] = 1.0
-        for c in out:
-            e = e - c * np.vdot(c, e)
-        n = np.linalg.norm(e)
-        if n > 1e-8:
-            out.append(e / n)
-    return np.column_stack(out)
-
-
 def _aligned_columns(state, a, b):
-    """The witness basis of the product and sum optima, or the standard basis."""
+    """The witness basis of the product and sum optima, or the standard basis.
+
+    The bisectors of f and of g scaled to f's norm and phase-aligned to f,
+    completed by a Householder QR whose first two columns take the phases
+    of R's diagonal.
+    """
     f = deviation_vector(state, a)
     g = deviation_vector(state, b)
-    nf = np.linalg.norm(f)
-    ng = np.linalg.norm(g)
+    nf = math.sqrt(np.vdot(f, f).real)
+    ng = math.sqrt(np.vdot(g, g).real)
     if nf < 1e-14 or ng < 1e-14:
         return np.eye(f.size, dtype=np.complex128)
-    fh = f / nf
-    gh = g / ng
-    ov = np.vdot(fh, gh)
-    if abs(ov) > 0:
-        gh = gh * (np.conj(ov) / abs(ov))
-    cols = []
-    for cand in (fh + gh, fh - gh):
-        n = np.linalg.norm(cand)
-        if n > 1e-9:
-            cols.append(cand / n)
-    return _gram_schmidt_complete(cols, f.size)
+    ov = complex(np.vdot(f, g))
+    scale = nf / ng
+    if ov:
+        scale *= ov.conjugate() / abs(ov)
+    g = g * scale
+    q, r = np.linalg.qr(np.column_stack([f + g, f - g]), mode="complete")
+    phase = np.ones(f.size, dtype=np.complex128)
+    phase[:2] = [z / abs(z) if z else 1.0 for z in np.diagonal(r)]
+    return q * phase
 
 
 def _rs_product(state, a, b):

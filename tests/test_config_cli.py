@@ -16,7 +16,6 @@ from varbounds.config import (
     parse_vector,
 )
 from varbounds.errors import ConfigError
-from varbounds.optimize import OptimizerConfig
 
 SWEEP_CFG = """
 # custom sweep over the qubit family
@@ -31,11 +30,10 @@ family = qubit_bloch_fig3
 [observables]
 a = pauli_x
 b = 1+0i 0+0i ; 0+0i -1+0i   # sigma_z as a literal
-
-[optimizer]
-restarts = 3
-seed = 99
 """
+
+# render_json sorts the keys
+OPTIMIZE_KEYS = ["best_basis_columns", "best_value", "mode", "objective", "witness"]
 
 INSTANCE_CFG = """
 [state]
@@ -78,8 +76,6 @@ class TestParsing:
         assert spec.theta_count == 7
         assert spec.bounds == ("rs_product", "fidelity_product")
         assert spec.state_family == "qubit_bloch_fig3"
-        assert spec.optimizer.restarts == 3
-        assert spec.optimizer.seed == 99
         a, b = spec.observables
         assert_allclose(b.matrix, np.diag([1.0, -1.0]))
 
@@ -123,7 +119,7 @@ class TestCli:
     def test_compute_json(self, tmp_path, capsys):
         cfg = tmp_path / "inst.cfg"
         cfg.write_text(INSTANCE_CFG)
-        rc = main(["compute", "--config", str(cfg), "--restarts", "2"])
+        rc = main(["compute", "--config", str(cfg)])
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["exact"]["product"] == pytest.approx(1.0)
@@ -133,22 +129,21 @@ class TestCli:
     def test_optimize_trace(self, tmp_path, capsys):
         cfg = tmp_path / "inst.cfg"
         cfg.write_text(INSTANCE_CFG)
-        rc = main(["optimize", "--config", str(cfg), "--objective", "sum",
-                   "--restarts", "2"])
+        rc = main(["optimize", "--config", str(cfg), "--objective", "sum"])
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["best_value"] == pytest.approx(2.0, abs=1e-8)
-        # closed form: the witness basis alone, whatever the optimizer flags
-        assert data["trace"] == [{"start": "aligned", "value": data["best_value"]}]
-        assert (data["evaluations"], data["restarts_used"], data["converged"]) == (0, 0, True)
+        # closed form: the report names its witness basis, and has no search trace
+        assert list(data) == OPTIMIZE_KEYS
+        assert (data["mode"], data["witness"]) == ("max", "aligned")
 
         rc = main(["optimize", "--config", str(cfg), "--objective", "reverse_product",
-                   "--restarts", "2"])
+                   "--format", "csv"])
         assert rc == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["best_value"] == pytest.approx(1.0, abs=1e-8)  # Var X * Var Y in |0>
-        assert data["trace"] == [{"start": "flat", "value": data["best_value"]}]
-        assert (data["evaluations"], data["restarts_used"], data["converged"]) == (0, 0, True)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["objective,reverse_product", "mode,min",
+                         lines[2], "witness,flat"]
+        assert float(lines[2].split(",")[1]) == pytest.approx(1.0, abs=1e-8)  # Var X * Var Y in |0>
 
     @pytest.mark.parametrize("objective", ["product", "sum", "reverse_product"])
     def test_optimize_one_dimension(self, tmp_path, capsys, objective):
@@ -158,8 +153,7 @@ class TestCli:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["best_basis_columns"] == [[[1.0, 0.0]]]
-        assert data["evaluations"] == 0
-        assert data["converged"] is True
+        assert list(data) == OPTIMIZE_KEYS
         assert data["best_value"] == ("inf" if objective == "reverse_product" else 0.0)
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
@@ -243,16 +237,16 @@ class TestParserReuse:
         assert "fidelity_product" not in json.loads(first[1])["columns"]
 
     def test_optimizer_flags_do_not_leak_into_the_next_call(self, tmp_path, capsys, monkeypatch):
+        # optimize --restarts, the one optimizer flag left, is hidden and ignored
         cfg = tmp_path / "inst.cfg"
         cfg.write_text(INSTANCE_CFG)
-        flagged = ["optimize", "--config", str(cfg), "--seed", "5", "--restarts", "3"]
+        flagged = ["optimize", "--config", str(cfg), "--restarts", "3"]
         plain = ["optimize", "--config", str(cfg)]
         first = _run(flagged, capsys)
         second = _run(plain, capsys)
         assert first == _run_fresh(flagged, capsys, monkeypatch)
         assert second == _run_fresh(plain, capsys, monkeypatch)
-        assert json.loads(first[1])["config"]["seed"] == 5
-        assert json.loads(second[1])["config"] == OptimizerConfig().__dict__
+        assert first == second and first[0] == 0
 
     def test_valid_call_after_a_usage_error(self, capsys, monkeypatch):
         bad = ["sweep", "--preset", "fig9"]
@@ -302,3 +296,41 @@ class TestParserReuse:
                     gc.enable()
                 capsys.readouterr()
         assert all(n == 0 for n in per_call.values()), per_call
+
+
+REMOVED_FLAGS = {
+    "compute": ["--seed", "--restarts", "--max-evals", "--step-init", "--step-min", "--tol"],
+    "sweep": ["--seed", "--restarts", "--max-evals", "--step-init", "--step-min", "--tol"],
+    "optimize": ["--seed", "--max-evals", "--step-init", "--step-min", "--tol"],
+}
+
+
+class TestRemovedOptimizerKnobs:
+    """Every basis optimum is closed-form: the search's knobs are gone, not ignored."""
+
+    @pytest.mark.parametrize("command,flag", [(c, f) for c, flags in REMOVED_FLAGS.items()
+                                              for f in flags])
+    def test_removed_flag_is_a_usage_error(self, tmp_path, capsys, command, flag):
+        cfg = tmp_path / "inst.cfg"
+        cfg.write_text(INSTANCE_CFG)
+        argv = {"compute": ["compute", "--config", str(cfg)],
+                "sweep": ["sweep", "--preset", "fig4", "--theta-count", "3"],
+                "optimize": ["optimize", "--config", str(cfg)]}[command]
+        code, out, err = _run([*argv, flag, "1"], capsys)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag} 1" in err
+
+    def test_hidden_restarts_are_not_in_the_help(self, capsys):
+        code, out, _ = _run(["optimize", "--help"], capsys)
+        assert code == 0 and "restarts" not in out
+
+    @pytest.mark.parametrize("command", ["compute", "optimize", "sweep"])
+    def test_optimizer_section_is_rejected(self, tmp_path, capsys, command):
+        cfg = tmp_path / "opt.cfg"
+        text = INSTANCE_CFG if command != "sweep" else SWEEP_CFG
+        cfg.write_text(text + "\n[optimizer]\nrestarts = 3\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the [optimizer] section was removed" in captured.err
+        assert "every basis optimum is now closed-form" in captured.err

@@ -141,3 +141,24 @@ def test_variance_clamp():
     assert clamp_variance(2.0) == 2.0
     with pytest.raises(NumericalConsistencyError):
         clamp_variance(-1e-9)
+
+
+def test_variance_floor_is_relative_to_the_second_moment():
+    # the floor is -1e-12 * max(1, <A^2>)
+    assert clamp_variance(-5e-13, 0.5) == 0.0
+    assert clamp_variance(-2e-8, 4e4) == 0.0
+    for v, second in ((-1e-9, 0.5), (-1e-9, 1.0), (-5e-8, 4e4), (-1.0, 1e6)):
+        with pytest.raises(NumericalConsistencyError, match="below"):
+            clamp_variance(v, second)
+
+
+def test_a_real_negative_variance_still_raises():
+    # a "density matrix" with a negative eigenvalue, set past the constructor's
+    # check, gives <A^2> - <A>^2 = 1 - 4 for A = diag(1, -1)
+    s = QuantumState.mixed(np.diag([0.5, 0.5]))
+    s.rho = np.diag([1.5, -0.5]).astype(complex)
+    a = Observable(np.diag([1.0, -1.0]))
+    with pytest.raises(NumericalConsistencyError, match="variance -3.0 below"):
+        variance(s, a)
+    with pytest.raises(NumericalConsistencyError, match="variance -3.0 below"):
+        moments(s, a, a)
