@@ -298,6 +298,11 @@ def _instance(seed, d):
     return random_pure_state(rng, d), random_observable(rng, d), random_observable(rng, d)
 
 
+def _literal(m):
+    """A config matrix literal that reads back as ``m`` exactly."""
+    return "; ".join(" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row) for row in np.asarray(m, complex))
+
+
 CLOSED_FORM = {
     "product": (lambda va, vb: va * vb, "aligned"),
     "sum": (lambda va, vb: 0.5 * (np.sqrt(va) + np.sqrt(vb)) ** 2, "aligned"),
@@ -317,7 +322,8 @@ def _assert_matches_search(objective, report, s, a, b):
 class TestLockstepSearch:
     """Seeded instances the basis search was checked on, against the closed forms.
 
-    Seed 13 at d=3 is the instance of the search's early-exit cases.
+    Seed 13 at d=3 is the instance of the search's early-exit cases.  The
+    options that made the search exit early are gone from the CLI.
     """
 
     @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
@@ -326,6 +332,24 @@ class TestLockstepSearch:
     def test_matches_sequential(self, objective, d, seed):
         s, a, b = _instance(seed, d)
         _assert_matches_search(objective, OBJECTIVES[objective](s, a, b), s, a, b)
+
+    @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+    @pytest.mark.parametrize("exit_option", [["--max-evals", "60"], ["--step-min", "1e-3"]],
+                             ids=["max_evals_60", "step_min_1e-3"])
+    def test_matches_sequential_at_early_exits(self, tmp_path, capsys, objective, exit_option):
+        s, a, b = _instance(13, 3)
+        path = tmp_path / "seed13.cfg"
+        path.write_text(f"[state]\nvector = {_literal(s.vector[None, :])}\n"
+                        f"[observables]\na = {_literal(a.matrix)}\nb = {_literal(b.matrix)}\n")
+        s, a, b = load_instance(parse_config(path.read_text()))
+        report = OBJECTIVES[objective](s, a, b)
+        _assert_matches_search(objective, report, s, a, b)
+        argv = ["optimize", "--config", str(path), "--objective", objective]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *exit_option])
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["best_value"] == report.best_value
 
     def test_evaluation_cap_wins_over_step_min(self):
         # Eigenstate of A: f = 0 exactly, so no basis meets the reverse bound's
