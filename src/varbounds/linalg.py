@@ -35,6 +35,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_orthonormal(columns: np.ndarray) -> None:
+    """Raise unless each square column matrix, over the leading axes, has orthonormal columns."""
+    gram = np.matmul(columns.conj().swapaxes(-1, -2), columns)
+    if np.abs(gram - np.eye(columns.shape[-1])).max() > ORTHONORMALITY_TOL:
+        raise VarboundsError("basis columns are not orthonormal")
+
+
 class OrthonormalBasis:
     """A complete orthonormal basis, stored as the columns of a unitary."""
 
@@ -42,9 +49,7 @@ class OrthonormalBasis:
         cols = np.asarray(columns, dtype=np.complex128)
         if cols.ndim != 2 or cols.shape[0] != cols.shape[1]:
             raise VarboundsError(f"basis must be a square column matrix, got {cols.shape}")
-        gram = cols.conj().T @ cols
-        if np.abs(gram - np.eye(cols.shape[0])).max() > ORTHONORMALITY_TOL:
-            raise VarboundsError("basis columns are not orthonormal")
+        check_orthonormal(cols)
         self.columns = _frozen(cols)
 
     @classmethod

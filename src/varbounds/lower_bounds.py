@@ -14,11 +14,14 @@ Implemented bounds:
   both take that state in closed form.
 
 Each formula is a function of one :class:`~varbounds.moments.Instance`
-(``rs_product``, ``basis_product``, ...), so the bounds of one row read one
-set of moments; each ``*_bound(state, a, b)`` builds the instance and calls
-it.  Every function returns a :class:`BoundResult`; lower bounds are always
-defined (preconditions raise instead).  Nothing here runs a numerical
-search; the basis-optimized bounds live in :mod:`varbounds.optimize`.
+(``rs_product``, ``basis_product``, ...) and evaluates every row of it at
+once: it returns a :class:`BoundArrays` of per-row values, definedness and
+reasons.  A sweep calls each formula once on the instance of its whole
+theta grid; each ``*_bound(state, a, b)`` builds a one-row instance, calls
+the same formula and returns its row as a :class:`BoundResult`.  Lower
+bounds are always defined (preconditions raise instead).  Nothing here
+runs a numerical search; the basis-optimized bounds live in
+:mod:`varbounds.optimize`.
 """
 
 from __future__ import annotations
@@ -27,12 +30,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, MixedStateUnsupported
+from .errors import MixedStateUnsupported
 from .linalg import Observable, OrthonormalBasis, QuantumState
 from .moments import (  # fidelity_weights and sorted_weighted are re-exported
     Instance,
     SortedWeightSequences,
+    coefficient_moduli,
     fidelity_weights,
+    first_row,
+    inner,
+    matvec,
+    pow2,
     sorted_weighted,
 )
 
@@ -69,10 +77,68 @@ class BoundResult:
                 raise ValueError("undefined bound needs a reason")
             self.value = INF
 
+
+@dataclass
+class BoundArrays:
+    """One bound over the rows of an instance.
+
+    ``value`` holds a float per row and +inf where the bound is undefined.
+    ``reason`` is an object array with the reason of each undefined row
+    and None elsewhere; None for the whole array means every row is
+    defined.  Array intermediates have one entry (or row) per row.
+    """
+
+    kind: str
+    value: np.ndarray
+    reason: np.ndarray | None = None
+    baseline: bool = False
+    intermediates: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.reason is not None:
+            self.value = np.where(self.defined, self.value, INF)
+
     @classmethod
-    def undefined(cls, kind: str, reason: str, **intermediates) -> "BoundResult":
-        return cls(kind=kind, value=INF, defined=False, reason=reason,
-                   intermediates=dict(intermediates))
+    def upper(cls, kind: str, value: np.ndarray, cases, **intermediates) -> "BoundArrays":
+        """A bound that is undefined on the rows of each ``(mask, reason)`` case.
+
+        The first case that holds on a row gives its reason.
+        """
+        hits = [(mask, reason) for mask, reason in cases if mask.any()]
+        reasons = None
+        if hits:
+            reasons = np.full(len(value), None, dtype=object)
+            for mask, reason in reversed(hits):
+                reasons[mask] = reason
+        return cls(kind, value, reasons, intermediates=intermediates)
+
+    @property
+    def defined(self) -> np.ndarray:
+        if self.reason is None:
+            return np.ones(len(self.value), dtype=bool)
+        return np.equal(self.reason, None)
+
+    def cells(self) -> tuple[list, list]:
+        """Per-row values (None where undefined) and statuses ("ok" or the reason)."""
+        values = self.value.tolist()
+        if self.reason is None:
+            return values, ["ok"] * len(values)
+        reasons = self.reason.tolist()
+        return ([None if r else v for v, r in zip(values, reasons)],
+                [r or "ok" for r in reasons])
+
+    def one(self) -> BoundResult:
+        """The result of a one-row instance."""
+        reason = None if self.reason is None else self.reason[0]
+        return BoundResult(
+            kind=self.kind,
+            value=float(self.value[0]),
+            defined=reason is None,
+            reason=reason,
+            baseline=self.baseline,
+            intermediates={k: first_row(v) if isinstance(v, np.ndarray) else v
+                           for k, v in self.intermediates.items()},
+        )
 
 
 def pairing_sums(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,56 +156,39 @@ def parallelogram_values(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def sorted_weight_sequences(state: QuantumState, a: Observable, b: Observable) -> SortedWeightSequences:
-    return Instance(state, a, b).sequences
+    seqs = Instance(state, a, b).sequences
+    return SortedWeightSequences(u=seqs.u[0], v=seqs.v[0],
+                                 u_indices=seqs.u_indices[0], v_indices=seqs.v_indices[0])
 
 
-def rs_product(inst: Instance) -> BoundResult:
+def rs_product(inst: Instance) -> BoundArrays:
     """Robertson-Schrodinger: |<[A,B]>/2|^2 + Cov(A,B)^2."""
     ms = inst.moments
-    comm_term = abs(ms.comm_expect / 2.0) ** 2
-    cov_term = ms.cov**2
-    return BoundResult(
-        kind="rs_product",
-        value=comm_term + cov_term,
-        intermediates={"commutator_term": comm_term, "covariance_term": cov_term},
-    )
+    comm_term = pow2(np.abs(ms.comm_expect / 2.0))
+    cov_term = pow2(ms.cov)
+    return BoundArrays("rs_product", comm_term + cov_term,
+                       intermediates={"commutator_term": comm_term, "covariance_term": cov_term})
 
 
-def _alpha_beta(inst: Instance, basis: OrthonormalBasis) -> tuple[np.ndarray, np.ndarray]:
-    if not inst.state.is_pure:
-        raise MixedStateUnsupported("basis-decomposition bounds need a pure state")
-    if basis.dim != inst.dim:
-        raise DimensionMismatch(f"basis dim {basis.dim} vs state dim {inst.dim}")
-    alpha = basis.columns.conj().T @ inst.dev_a
-    beta = basis.columns.conj().T @ inst.dev_b
-    return alpha, beta
+def basis_product(inst: Instance, basis=None) -> BoundArrays:
+    """(sum_n |alpha_n| |beta_n|)^2 with alpha_n, beta_n the deviation coefficients.
+
+    ``basis`` is as in :func:`~varbounds.moments.coefficient_moduli`; the
+    default is the standard basis.
+    """
+    aa, bb = coefficient_moduli(inst, basis)
+    return BoundArrays("basis_product", pow2(inner(aa, bb)),
+                       intermediates={"alpha_abs": aa, "beta_abs": bb})
 
 
-def basis_product(inst: Instance, basis: OrthonormalBasis) -> BoundResult:
-    """(sum_n |alpha_n| |beta_n|)^2 with alpha_n, beta_n the deviation coefficients."""
-    alpha, beta = _alpha_beta(inst, basis)
-    aa = np.abs(alpha)
-    bb = np.abs(beta)
-    return BoundResult(
-        kind="basis_product",
-        value=float(np.dot(aa, bb) ** 2),
-        intermediates={"alpha_abs": aa, "beta_abs": bb},
-    )
-
-
-def basis_sum(inst: Instance, basis: OrthonormalBasis) -> BoundResult:
+def basis_sum(inst: Instance, basis=None) -> BoundArrays:
     """(1/2) sum_n (|alpha_n| + |beta_n|)^2, from the parallelogram law."""
-    alpha, beta = _alpha_beta(inst, basis)
-    aa = np.abs(alpha)
-    bb = np.abs(beta)
-    return BoundResult(
-        kind="basis_sum",
-        value=float(0.5 * ((aa + bb) ** 2).sum()),
-        intermediates={"alpha_abs": aa, "beta_abs": bb},
-    )
+    aa, bb = coefficient_moduli(inst, basis)
+    return BoundArrays("basis_sum", 0.5 * ((aa + bb) ** 2).sum(axis=-1),
+                       intermediates={"alpha_abs": aa, "beta_abs": bb})
 
 
-def fidelity_product(inst: Instance) -> BoundResult:
+def fidelity_product(inst: Instance) -> BoundArrays:
     """Squared inner product of the sorted weighted sequences.
 
     Both extremal pairings are valid lower bounds (Cauchy-Schwarz holds for
@@ -147,23 +196,23 @@ def fidelity_product(inst: Instance) -> BoundResult:
     """
     seqs = inst.sequences
     asc, alt = pairing_sums(seqs.u, seqs.v)
-    v_asc = float(asc**2)
-    v_alt = float(alt**2)
-    pairing = "ascending-ascending" if v_asc >= v_alt else "ascending-descending"
-    return BoundResult(
-        kind="fidelity_product",
-        value=max(v_asc, v_alt),
+    v_asc = pow2(asc)
+    v_alt = pow2(alt)
+    ascending = v_asc >= v_alt
+    return BoundArrays(
+        "fidelity_product",
+        np.where(ascending, v_asc, v_alt),
         intermediates={
             "u": seqs.u,
             "v": seqs.v,
-            "pairing": pairing,
+            "pairing": np.where(ascending, "ascending-ascending", "ascending-descending"),
             "ascending_value": v_asc,
             "opposed_value": v_alt,
         },
     )
 
 
-def parallelogram_sum(inst: Instance) -> BoundResult:
+def parallelogram_sum(inst: Instance) -> BoundArrays:
     """(1/2) sum_i (u_i + v_i)^2 with both sequences sorted ascending.
 
     The ascending-ascending pairing is the reported value; the opposed
@@ -171,100 +220,107 @@ def parallelogram_sum(inst: Instance) -> BoundResult:
     """
     seqs = inst.sequences
     asc, alt = parallelogram_values(seqs.u, seqs.v)
-    return BoundResult(
-        kind="parallelogram_sum",
-        value=float(asc),
-        intermediates={"u": seqs.u, "v": seqs.v, "opposed_value": float(alt)},
-    )
+    return BoundArrays("parallelogram_sum", asc,
+                       intermediates={"u": seqs.u, "v": seqs.v, "opposed_value": alt})
+
+
+SIGNS = np.array([1.0, -1.0])
+
+
+def _perp_projections(psi: np.ndarray, a: Observable, b: Observable, sign) -> np.ndarray:
+    """P_perp (A - sign*iB) psi along the last axis of ``psi``; ``sign`` may be an array."""
+    w = matvec(a.matrix - sign * 1j * b.matrix, psi)
+    return w - psi * inner(psi, w)[..., None]
 
 
 def mp_perp_candidates(state: QuantumState, a: Observable, b: Observable, sign: float) -> np.ndarray:
     """Analytic maximizer of |<psi|(A + sign*iB)|perp>|: P_perp (A - sign*iB) psi."""
-    psi = state.vector
-    w = (a.matrix - sign * 1j * b.matrix) @ psi
-    return w - psi * np.vdot(psi, w)
+    return _perp_projections(state.vector, a, b, sign)
 
 
-def mp_sum_1(inst: Instance) -> BoundResult:
+def _require_pure(inst: Instance) -> None:
+    if not inst.is_pure:
+        raise MixedStateUnsupported("this baseline is a pure-state bound")
+
+
+def mp_sum_1(inst: Instance) -> BoundArrays:
     """Baseline: max over sign of +/-i<[A,B]> + sup_perp |<psi|(A +/- iB)|perp>|^2.
 
     By Cauchy-Schwarz the supremum over unit vectors orthogonal to the state
     is ||P_perp (A -/+ iB) psi||^2, attained at the normalized projection
     (:func:`mp_perp_candidates`), so no search is needed.  ``perp_vector``
-    is that maximizer for the winning sign, or None when the projection is
-    zero.
+    is that maximizer for the winning sign; the one-row result reports None
+    where the projection is zero.
     """
-    if not inst.state.is_pure:
-        raise MixedStateUnsupported("this baseline is a pure-state bound")
+    _require_pure(inst)
     comm = inst.moments.comm_expect
-    proj = {sign: mp_perp_candidates(inst.state, inst.a, inst.b, sign) for sign in (1.0, -1.0)}
-    per_sign = {sign: float((sign * 1j * comm).real) + float(np.vdot(w, w).real)
-                for sign, w in proj.items()}
-    best_sign = 1.0 if per_sign[1.0] >= per_sign[-1.0] else -1.0
-    w = proj[best_sign]
-    norm = np.linalg.norm(w)
-    return BoundResult(
-        kind="mp_sum_1",
-        value=per_sign[best_sign],
+    # both signs at once: row 0 of each stack is sign +1, row 1 is sign -1
+    w = _perp_projections(inst.vectors, inst.a, inst.b, SIGNS[:, None, None, None])
+    sq = inner(w, w).real
+    value_plus, value_minus = (SIGNS[:, None] * 1j * comm).real + sq
+    plus = value_plus >= value_minus
+    best = np.where(plus, 0, 1)
+    w, norm = w[best, np.arange(len(best))], np.sqrt(sq[best, np.arange(len(best))])
+    perp = np.divide(w, norm[:, None], out=np.zeros_like(w), where=norm[:, None] > 0)
+    return BoundArrays(
+        "mp_sum_1",
+        np.where(plus, value_plus, value_minus),
         baseline=True,
         intermediates={
-            "value_plus": per_sign[1.0],
-            "value_minus": per_sign[-1.0],
-            "sign": best_sign,
-            "perp_vector": w / norm if norm > 0 else None,
+            "value_plus": value_plus,
+            "value_minus": value_minus,
+            "sign": SIGNS[best],
+            "perp_vector": perp,
         },
     )
 
 
-def mp_sum_2(inst: Instance) -> BoundResult:
+def mp_sum_2(inst: Instance) -> BoundArrays:
     """Baseline: half the variance of A + B."""
-    if not inst.state.is_pure:
-        raise MixedStateUnsupported("this baseline is a pure-state bound")
-    psi = inst.state.vector
-    m = inst.a.matrix + inst.b.matrix
-    mv = m @ psi
-    mean = np.vdot(psi, mv).real
-    var_sum_op = max(np.vdot(mv, mv).real - mean**2, 0.0)
-    return BoundResult(
-        kind="mp_sum_2",
-        value=0.5 * var_sum_op,
-        baseline=True,
-        intermediates={"variance_of_sum_operator": var_sum_op},
-    )
+    _require_pure(inst)
+    psi = inst.vectors
+    mv = matvec(inst.a.matrix + inst.b.matrix, psi)
+    mean = inner(psi, mv).real
+    var_sum_op = np.maximum(inner(mv, mv).real - pow2(mean), 0.0)
+    return BoundArrays("mp_sum_2", 0.5 * var_sum_op, baseline=True,
+                       intermediates={"variance_of_sum_operator": var_sum_op})
 
 
 def rs_product_bound(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
     """:func:`rs_product` of one state and pair."""
-    return rs_product(Instance(state, a, b))
+    return rs_product(Instance(state, a, b)).one()
 
 
 def basis_product_bound(state: QuantumState, a: Observable, b: Observable,
                         basis: OrthonormalBasis) -> BoundResult:
     """:func:`basis_product` of one pure state and pair, in ``basis``."""
-    return basis_product(Instance(state, a, b), basis)
+    return basis_product(Instance(state, a, b), basis).one()
 
 
 def basis_sum_bound(state: QuantumState, a: Observable, b: Observable,
                     basis: OrthonormalBasis) -> BoundResult:
     """:func:`basis_sum` of one pure state and pair, in ``basis``."""
-    return basis_sum(Instance(state, a, b), basis)
+    return basis_sum(Instance(state, a, b), basis).one()
 
 
 def fidelity_product_bound(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
     """:func:`fidelity_product` of one state and pair."""
-    return fidelity_product(Instance(state, a, b))
+    return fidelity_product(Instance(state, a, b)).one()
 
 
 def parallelogram_sum_bound(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
     """:func:`parallelogram_sum` of one state and pair."""
-    return parallelogram_sum(Instance(state, a, b))
+    return parallelogram_sum(Instance(state, a, b)).one()
 
 
 def mp_sum_bound_1(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
     """:func:`mp_sum_1` of one pure state and pair."""
-    return mp_sum_1(Instance(state, a, b))
+    res = mp_sum_1(Instance(state, a, b)).one()
+    if not res.intermediates["perp_vector"].any():
+        res.intermediates["perp_vector"] = None
+    return res
 
 
 def mp_sum_bound_2(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
     """:func:`mp_sum_2` of one pure state and pair."""
-    return mp_sum_2(Instance(state, a, b))
+    return mp_sum_2(Instance(state, a, b)).one()

@@ -1,28 +1,31 @@
 """Expectation values, variances, covariance, and deviation vectors.
 
 All operations accept pure states (vector) and mixed states (density
-matrix); the deviation vector is the one pure-only construction.  Results
-are plain floats/complex so callers can feed them straight into bound
-formulas.
+matrix); the deviation vector is the one pure-only construction.  The
+standalone functions (:func:`expectation`, :func:`variance`, ...) take one
+state and return plain floats/complex numbers.
 
-:class:`Instance` holds one state and one pair of observables with every
-moment a bound reads.  A sweep builds one per row and ``compute_instance``
-one per call, and every bound of that row or call reads the same instance,
-so the dimension check runs once and each moment at most once: the means
-when the instance is built, the rest when a bound first reads it.  The
-standalone functions (:func:`expectation`, :func:`variance`, ...) compute
-the same values with the same floating-point expressions, one at a time.
+:class:`Instance` holds a stack of states and one pair of observables with
+every moment a bound reads, as arrays over the stack's rows.  A sweep
+builds one for its whole theta grid and ``compute_instance`` a one-row
+instance per call; every bound reads the same instance, so the dimension
+check runs once and each moment at most once: the means when the instance
+is built, the rest when a bound first reads it.  Each row of an instance
+carries the bits the standalone functions give for that state alone: the
+matrix-vector products and inner products go through :func:`matvec` and
+:func:`inner`, which call the same BLAS kernels per row as ``A @ psi`` and
+``np.vdot`` do, and squares of per-row scalars go through :func:`pow2`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .errors import MixedStateUnsupported, NumericalConsistencyError
-from .linalg import Observable, QuantumState, check_dims
+from .errors import DimensionMismatch, MixedStateUnsupported, NumericalConsistencyError, VarboundsError
+from .linalg import Observable, OrthonormalBasis, QuantumState, check_dims
 
 __all__ = [
     "MomentSet",
@@ -39,9 +42,48 @@ IMAG_RESIDUE_TOL = 1e-10
 NEGATIVE_VARIANCE_TOL = 1e-12
 
 
+def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v along the last axis of ``v``; M is one matrix or a stack of them.
+
+    Each row is the matrix-vector product ``m @ v`` computes for it alone.
+    """
+    return np.matmul(m, v[..., None])[..., 0]
+
+
+def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x|y> along the last axis, with the bits of ``np.vdot`` on each row.
+
+    (``np.einsum("ni,ni->n", ...)`` sums in another order and differs in
+    the last bits.)
+    """
+    return np.matmul(x.conj()[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def pow2(x: np.ndarray) -> np.ndarray:
+    """x ** 2 as C's ``pow(x, 2)`` rounds it, for each entry of an array.
+
+    A Python or numpy float squared with ``**`` calls ``pow``, which rounds
+    differently from ``x * x`` (and from an array's ``**``) in about one
+    case in a thousand.  The bound formulas square their per-row scalars
+    this way, so a row of a stack has the bits of the same formula on one
+    state.
+    """
+    return np.array([v ** 2 for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def first_row(x):
+    """Row 0 of a per-row array; a Python scalar when the row is one number."""
+    row = x[0]
+    return row.item() if np.ndim(row) == 0 else row
+
+
 @dataclass(frozen=True)
 class MomentSet:
-    """First and second moments of a pair of observables in one state."""
+    """First and second moments of a pair of observables in one state.
+
+    The fields are floats for one state (:func:`moments`) and arrays over
+    the rows for an :class:`Instance`.
+    """
 
     mean_a: float
     mean_b: float
@@ -51,44 +93,64 @@ class MomentSet:
     comm_expect: complex
     anticomm_expect: float
 
-    @property
+    @cached_property
     def std_a(self) -> float:
-        return float(np.sqrt(self.var_a))
+        return np.sqrt(self.var_a)
 
-    @property
+    @cached_property
     def std_b(self) -> float:
-        return float(np.sqrt(self.var_b))
+        return np.sqrt(self.var_b)
+
+    @cached_property
+    def var_diff(self) -> float:
+        """Var(A - B) = Var A + Var B - 2 Cov, clamped to [0, inf)."""
+        return np.maximum(self.var_a + self.var_b - 2.0 * self.cov, 0.0)
+
+
+def _trace_product(rho: np.ndarray, m: np.ndarray) -> complex:
+    """tr(rho M) for one density matrix."""
+    return complex(np.einsum("ij,ji->", rho, m))
 
 
 def _expect_matrix(state: QuantumState, m: np.ndarray) -> complex:
     """<M> for an arbitrary (not necessarily Hermitian) matrix."""
     if state.is_pure:
         return complex(np.vdot(state.vector, m @ state.vector))
-    return complex(np.einsum("ij,ji->", state.rho, m))
+    return _trace_product(state.rho, m)
 
 
-def _real(z: complex) -> float:
-    if abs(z.imag) > IMAG_RESIDUE_TOL:
-        raise NumericalConsistencyError(f"expectation has imaginary residue {z.imag:.3e}")
+def _real(z: np.ndarray) -> np.ndarray:
+    """The real parts of an array of expectation values.
+
+    An imaginary part above ``IMAG_RESIDUE_TOL`` means a non-Hermitian
+    input or a bug, and raises.
+    """
+    residue = abs(z.imag)
+    if residue.max() > IMAG_RESIDUE_TOL:
+        raise NumericalConsistencyError(
+            f"expectation has imaginary residue {z.imag.flat[residue.argmax()]:.3e}")
     return z.real
 
 
 def _real_expect(state: QuantumState, m: np.ndarray) -> float:
-    return _real(_expect_matrix(state, m))
+    return float(_real(np.complex128(_expect_matrix(state, m))))
 
 
-def clamp_variance(v: float, second: float = 0.0) -> float:
+def clamp_variance(v, second=0.0):
     """Clamp round-off negatives of v = <A^2> - <A>^2 to zero; larger ones are a bug.
 
     The floor is -1e-12 * max(1, <A^2>), with <A^2> passed as ``second``:
     the subtraction loses about eps * <A^2> to cancellation, so at an
     eigenstate of an observable with a large spectrum the round-off can
-    pass any absolute floor.
+    pass any absolute floor.  Works elementwise on arrays.
     """
-    floor = NEGATIVE_VARIANCE_TOL * max(1.0, second)
-    if v < -floor:
-        raise NumericalConsistencyError(f"variance {v!r} below -{floor!r}")
-    return max(v, 0.0)
+    floor = NEGATIVE_VARIANCE_TOL * np.maximum(1.0, second)
+    low = v < -floor
+    if low.any():
+        i = np.flatnonzero(low)[0]
+        raise NumericalConsistencyError(
+            f"variance {float(np.ravel(v)[i])!r} below -{float(np.ravel(floor)[i])!r}")
+    return np.maximum(v, 0.0)
 
 
 def expectation(state: QuantumState, a: Observable) -> float:
@@ -105,7 +167,7 @@ def variance(state: QuantumState, a: Observable) -> float:
         second = float(np.real(np.vdot(av, av)))
     else:
         second = _real_expect(state, a.matrix @ a.matrix)
-    return clamp_variance(second - expectation(state, a) ** 2, second)
+    return float(clamp_variance(second - expectation(state, a) ** 2, second))
 
 
 def covariance(state: QuantumState, a: Observable, b: Observable) -> float:
@@ -150,12 +212,22 @@ def deviation_norm(matrix: np.ndarray, mean) -> np.ndarray:
     return np.sqrt((np.abs(dev) ** 2).sum(axis=(-2, -1)))
 
 
+def _fidelities(bases: np.ndarray, vectors, rho) -> np.ndarray:
+    """F_m = <v_m|rho|v_m> over the columns v_m of each eigenbasis in ``bases``, for each state.
+
+    ``bases`` is a stack of k eigenvector matrices and the states are n
+    stacked vectors or density matrices; the result has shape (k, n, d).
+    """
+    if vectors is not None:
+        return np.abs(matvec(bases.conj().swapaxes(-1, -2)[:, None], vectors)) ** 2
+    return np.array([[np.einsum("im,ij,jm->m", v.conj(), r, v).real for r in rho] for v in bases])
+
+
 def fidelity_weights(state: QuantumState, a: Observable) -> np.ndarray:
     """Transition probabilities between the state and each eigenvector of A."""
-    vecs = a.eigenvectors
     if state.is_pure:
-        return np.abs(vecs.conj().T @ state.vector) ** 2
-    return np.einsum("im,ij,jm->m", vecs.conj(), state.rho, vecs).real
+        return _fidelities(a.eigenvectors[None], state.vector[None], None)[0, 0]
+    return _fidelities(a.eigenvectors[None], None, state.rho[None])[0, 0]
 
 
 def sorted_weighted(values: np.ndarray, weights: np.ndarray):
@@ -171,7 +243,8 @@ class SortedWeightSequences:
 
     ``u[i] = (a_i - <A>) * sqrt(F_i)`` over the eigenbasis of A (same for v
     and B), with the originating eigenvalue index of each sorted entry.
-    ``sum(u**2)`` equals the variance of A.
+    ``sum(u**2)`` equals the variance of A.  One sequence per row for an
+    :class:`Instance`.
     """
 
     u: np.ndarray
@@ -181,107 +254,135 @@ class SortedWeightSequences:
 
 
 class Instance:
-    """A state and a pair of observables, with the moments every bound reads.
+    """A stack of states and one pair of observables, with the moments every bound reads.
 
-    Building it checks the dimensions once and computes A psi, B psi (pure
-    states), <A> and <B>, with the expressions of :func:`expectation`;
-    mixed states use the trace formulas.  ``moments`` (<AB>, both variances
-    and the covariance), the deviation vectors, the fidelity-weighted
-    sequences and the two deviation scales are computed on first read and
-    kept, so a bound that reads only the means and deviations (the basis
-    bounds, the fidelity sequences, every optimum) computes no variance.
+    ``states`` is one :class:`QuantumState` (a one-row instance, which the
+    scalar API builds) or a sequence of states of one kind; every moment
+    is an array over the rows.  Building it checks the dimensions once and
+    computes A psi, B psi (pure states), <A> and <B>, with the expressions
+    of :func:`expectation`; mixed states use the trace formulas, row by
+    row.  ``moments`` (<AB>, both variances and the covariance), the
+    deviation vectors, the fidelity-weighted sequences and the two
+    deviation scales are computed on first read and kept, so a bound that
+    reads only the means and deviations (the basis bounds, the fidelity
+    sequences, every optimum) computes no variance.
     """
 
-    def __init__(self, state: QuantumState, a: Observable, b: Observable):
-        self.dim = check_dims(state, a, b)
-        self.state = state
+    def __init__(self, states, a: Observable, b: Observable):
+        if isinstance(states, QuantumState):
+            states = (states,)
+        self.dim = check_dims(states[0], a, b)
+        self.is_pure = states[0].is_pure
+        for s in states:
+            if s.is_pure != self.is_pure:
+                raise VarboundsError("an instance stacks states of one kind")
+            if s.dim != self.dim:
+                raise DimensionMismatch(f"state dim {s.dim} vs observable dim {self.dim}")
         self.a = a
         self.b = b
-        if state.is_pure:
-            psi = state.vector
-            self.a_psi = a.matrix @ psi
-            self.b_psi = b.matrix @ psi
-            self.mean_a = _real(complex(np.vdot(psi, self.a_psi)))
-            self.mean_b = _real(complex(np.vdot(psi, self.b_psi)))
+        # quantities of A and B are computed together, stacked on a first axis of 2
+        self._pair = np.array([a.matrix, b.matrix])
+        if self.is_pure:
+            psi = self.vectors = np.array([s.vector for s in states])
+            self.rho = None
+            self._pair_psi = matvec(self._pair[:, None], psi)  # A psi and B psi
+            self._means = _real(inner(psi, self._pair_psi))
         else:
-            self.a_psi = self.b_psi = None
-            self.mean_a = _real_expect(state, a.matrix)
-            self.mean_b = _real_expect(state, b.matrix)
+            self.vectors = None
+            self.rho = np.array([s.rho for s in states])
+            self._means = _real(np.array([self._traces(a.matrix), self._traces(b.matrix)]))
+        self.mean_a, self.mean_b = self._means
+
+    def __len__(self) -> int:
+        return len(self.mean_a)
+
+    def _traces(self, m: np.ndarray) -> np.ndarray:
+        return np.array([_trace_product(r, m) for r in self.rho])
 
     @cached_property
     def moments(self) -> MomentSet:
-        """<AB>, both variances and the covariance.
+        """<AB>, both variances and the covariance, per row.
 
         The expressions are those of :func:`variance` and :func:`covariance`.
         """
-        state, a, b = self.state, self.a, self.b
-        mean_a, mean_b = self.mean_a, self.mean_b
-        z = _expect_matrix(state, a.matrix @ b.matrix)
-        if state.is_pure:
-            second_a = float(np.vdot(self.a_psi, self.a_psi).real)
-            second_b = float(np.vdot(self.b_psi, self.b_psi).real)
+        a, b = self.a, self.b
+        if self.is_pure:
+            z = inner(self.vectors, matvec(a.matrix @ b.matrix, self.vectors))
+            second = inner(self._pair_psi, self._pair_psi).real
         else:
-            second_a = _real_expect(state, a.matrix @ a.matrix)
-            second_b = _real_expect(state, b.matrix @ b.matrix)
+            z = self._traces(a.matrix @ b.matrix)
+            second = _real(np.array([self._traces(a.matrix @ a.matrix), self._traces(b.matrix @ b.matrix)]))
+        var_a, var_b = clamp_variance(second - pow2(self._means), second)
         return MomentSet(
-            mean_a=mean_a,
-            mean_b=mean_b,
-            var_a=clamp_variance(second_a - mean_a**2, second_a),
-            var_b=clamp_variance(second_b - mean_b**2, second_b),
-            cov=z.real - mean_a * mean_b,
+            mean_a=self.mean_a,
+            mean_b=self.mean_b,
+            var_a=var_a,
+            var_b=var_b,
+            cov=z.real - self.mean_a * self.mean_b,
             comm_expect=2j * z.imag,
             anticomm_expect=2.0 * z.real,
         )
 
-    def _pure_vector(self) -> np.ndarray:
-        if not self.state.is_pure:
+    @cached_property
+    def _deviations(self) -> np.ndarray:
+        if not self.is_pure:
             raise MixedStateUnsupported("deviation vectors are defined for pure states only")
-        return self.state.vector
+        return self._pair_psi - self._means[..., None] * self.vectors
 
     @cached_property
     def dev_a(self) -> np.ndarray:
-        """(A - <A>) psi, as :func:`deviation_vector` computes it."""
-        psi = self._pure_vector()
-        return self.a_psi - self.mean_a * psi
+        """(A - <A>) psi per row, as :func:`deviation_vector` computes it."""
+        return self._deviations[0]
 
     @cached_property
     def dev_b(self) -> np.ndarray:
-        psi = self._pure_vector()
-        return self.b_psi - self.mean_b * psi
+        return self._deviations[1]
 
     @cached_property
-    def eig_dev_a(self) -> np.ndarray:
-        """Eigenvalue deviations a_i - <A>."""
-        return self.a.eigenvalues - self.mean_a
-
-    @cached_property
-    def eig_dev_b(self) -> np.ndarray:
-        return self.b.eigenvalues - self.mean_b
+    def _eig_devs(self) -> np.ndarray:
+        """Eigenvalue deviations a_i - <A> and b_i - <B>, one row per state."""
+        return np.array([self.a.eigenvalues, self.b.eigenvalues])[:, None, :] - self._means[..., None]
 
     @cached_property
     def sequences(self) -> SortedWeightSequences:
-        u, ui = sorted_weighted(self.eig_dev_a, fidelity_weights(self.state, self.a))
-        v, vi = sorted_weighted(self.eig_dev_b, fidelity_weights(self.state, self.b))
+        bases = np.array([self.a.eigenvectors, self.b.eigenvectors])
+        (u, v), (ui, vi) = sorted_weighted(self._eig_devs, _fidelities(bases, self.vectors, self.rho))
         return SortedWeightSequences(u=u, v=v, u_indices=ui, v_indices=vi)
 
     @cached_property
-    def eig_scales(self) -> tuple[float, float]:
+    def eig_scales(self) -> tuple[np.ndarray, np.ndarray]:
         """The largest eigenvalue deviations max_i |a_i - <A>| and max_i |b_i - <B>|.
 
         The deviations ascend with the eigenvalues, so the largest modulus
         is at one end.
         """
-        ta, tb = self.eig_dev_a, self.eig_dev_b
-        return (float(max(abs(ta[0]), abs(ta[-1]))),
-                float(max(abs(tb[0]), abs(tb[-1]))))
+        return tuple(np.abs(self._eig_devs[..., [0, -1]]).max(axis=-1))
 
     @cached_property
-    def frobenius_scales(self) -> tuple[float, float]:
-        """||A - <A>||_F and ||B - <B>||_F (see :func:`deviation_norm`)."""
-        return (float(deviation_norm(self.a.matrix, self.mean_a)),
-                float(deviation_norm(self.b.matrix, self.mean_b)))
+    def frobenius_scales(self) -> tuple[np.ndarray, np.ndarray]:
+        """||A - <A>||_F and ||B - <B>||_F per row (see :func:`deviation_norm`)."""
+        return tuple(deviation_norm(self._pair[:, None], self._means))
+
+
+def coefficient_moduli(inst: Instance, basis=None) -> np.ndarray:
+    """|alpha_n| and |beta_n|: moduli of the deviation vectors' coefficients in a basis.
+
+    The result has shape (2, rows, d): alpha first, then beta.  ``basis``
+    is an :class:`OrthonormalBasis`, a column matrix or a stack of them
+    (one per row), or None for the standard basis, whose coefficients are
+    the deviation vectors themselves.
+    """
+    if not inst.is_pure:
+        raise MixedStateUnsupported("basis-decomposition bounds need a pure state")
+    if basis is None:
+        return np.abs(inst._deviations)
+    cols = basis.columns if isinstance(basis, OrthonormalBasis) else np.asarray(basis)
+    if cols.shape[-1] != inst.dim:
+        raise DimensionMismatch(f"basis dim {cols.shape[-1]} vs state dim {inst.dim}")
+    return np.abs(matvec(cols.conj().swapaxes(-1, -2), inst._deviations))
 
 
 def moments(state: QuantumState, a: Observable, b: Observable) -> MomentSet:
     """All moments the bound formulas need, computed in one pass."""
-    return Instance(state, a, b).moments
+    ms = Instance(state, a, b).moments
+    return MomentSet(**{f.name: first_row(getattr(ms, f.name)) for f in fields(ms)})

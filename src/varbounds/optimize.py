@@ -16,6 +16,11 @@ is Var A * Var B; :func:`flat_basis` is the witness that attains it.
 Each ``optimize_*`` function returns its witness basis, the witness's
 name and the bound evaluated there; nothing is searched.  Both witnesses
 are completed to a full basis by one Householder QR (:func:`_frame`).
+:func:`product_optimum` and :func:`sum_optimum` give the same optima for
+every row of a :class:`~varbounds.moments.Instance`, with one stacked QR
+for all the aligned witnesses; a sweep's ``optimized_*`` columns call them
+once, and ``optimize_product_bound``/``optimize_sum_bound`` call them on a
+one-row instance.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MixedStateUnsupported
-from .linalg import Observable, OrthonormalBasis, QuantumState
-from .lower_bounds import basis_product, basis_sum
-from .moments import Instance
+from .linalg import Observable, OrthonormalBasis, QuantumState, check_orthonormal
+from .lower_bounds import BoundArrays, basis_product, basis_sum
+from .moments import Instance, inner
 from .upper_bounds import reverse_basis_product
 
 __all__ = [
@@ -44,7 +49,10 @@ class OptimizationReport:
     """A basis optimum: its value, the witness basis and the witness's name.
 
     ``mode`` is ``max`` for the lower bounds and ``min`` for the reverse
-    bound; ``witness`` is ``aligned`` or ``flat``.
+    bound; ``witness`` is ``aligned`` or ``flat``.  The ``optimize_*``
+    functions report one instance: a float and an :class:`OrthonormalBasis`.
+    :func:`product_optimum` and :func:`sum_optimum` report every row of an
+    instance: an array of values and a stack of column matrices.
     """
 
     best_value: float
@@ -61,18 +69,37 @@ class OptimizationReport:
 def _frame(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Unitary whose first two columns are u/||u|| and the unit part of v orthogonal to u.
 
-    A Householder (complete) QR keeps the columns orthonormal to round-off
+    Over leading axes: for stacks of vectors one LAPACK call factors the
+    whole stack, and each matrix is the one a single call gives.  A
+    Householder (complete) QR keeps the columns orthonormal to round-off
     even when v is nearly parallel to u, where one Gram-Schmidt pass would
     not.  Multiplying each of the first two columns by the phase of its R
     diagonal entry undoes LAPACK's phase choice.
     """
-    q, r = np.linalg.qr(np.column_stack([u, v]), mode="complete")
-    phase = np.ones(q.shape[1], dtype=np.complex128)
-    phase[:2] = [z / abs(z) if z else 1.0 for z in np.diagonal(r)]
-    return q * phase
+    uv = np.empty(u.shape + (2,), dtype=np.complex128)
+    uv[..., 0] = u
+    uv[..., 1] = v
+    q, r = np.linalg.qr(uv, mode="complete")
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    mod = np.abs(diag)
+    phase = np.ones(q.shape[:-1], dtype=np.complex128)
+    np.divide(diag, mod, out=phase[..., :diag.shape[-1]], where=mod != 0)
+    return q * phase[..., None, :]
 
 
-def aligned_basis(f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+def _aligned_scale(ff: float, gg: float, ov: complex):
+    """The factor taking g to g' = scale * g for one row, or None when f or g is numerically null."""
+    nf = math.sqrt(ff)
+    ng = math.sqrt(gg)
+    if nf < 1e-14 or ng < 1e-14:
+        return None
+    scale = nf / ng
+    if ov:
+        scale *= ov.conjugate() / abs(ov)
+    return scale
+
+
+def aligned_basis(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Basis whose columns carry proportional weights of ``f`` and ``g``.
 
     Scale g to the norm of f and align its phase so that <f|g'> is real and
@@ -81,22 +108,24 @@ def aligned_basis(f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     is orthogonal to f and g.  That is the Cauchy-Schwarz equality case of
     the basis product bound.  :func:`_frame` normalizes the bisectors and
     completes the basis; where f is parallel to g the second bisector is
-    round-off, and the QR still returns an orthonormal basis.  Returns None
-    when either vector is numerically null.
+    round-off, and the QR still returns an orthonormal basis.  Works over
+    leading axes (one basis per row, one QR call for all of them); where f
+    or g is numerically null the standard basis stands in.  The scale of
+    each row is a Python number, so it has the bits of the one-row formula.
     """
-    nf = math.sqrt(np.vdot(f, f).real)
-    ng = math.sqrt(np.vdot(g, g).real)
-    if nf < 1e-14 or ng < 1e-14:
-        return None
-    ov = complex(np.vdot(f, g))
-    scale = nf / ng
-    if ov:
-        scale *= ov.conjugate() / abs(ov)
-    g = g * scale
-    return _frame(f + g, f - g)
+    d = f.shape[-1]
+    rows_f, rows_g = f.reshape(-1, d), g.reshape(-1, d)
+    ff, gg, ov = inner(np.array([rows_f, rows_g, rows_f]), np.array([rows_f, rows_g, rows_g]))
+    scales = [_aligned_scale(*row) for row in zip(ff.real.tolist(), gg.real.tolist(), ov.tolist())]
+    null = [x is None for x in scales]
+    rows_g = rows_g * np.array([0.0 if x is None else x for x in scales])[:, None]
+    columns = _frame(rows_f + rows_g, rows_f - rows_g)
+    if any(null):
+        columns[np.array(null)] = np.eye(d)
+    return columns.reshape(f.shape + (d,))
 
 
-def flat_basis(f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+def flat_basis(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Basis in which all coefficients of f have one modulus, and all of g another.
 
     With f_hat, g_hat the normalized vectors and c = <f_hat|g_hat>, take
@@ -105,14 +134,14 @@ def flat_basis(f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     to |c|, so <x|y> = c.  The pairs (f_hat, g_hat) and (x, y) then have the
     same Gram matrix, and W = R Q^dagger, built from the frames Q of
     (f_hat, g_hat) and R of (x, y), maps f_hat to x and g_hat to y.  The basis
-    is the columns of W^dagger = Q R^dagger.  Needs d >= 2; returns None when
-    f or g is exactly zero.
+    is the columns of W^dagger = Q R^dagger.  Needs d >= 2 and one pair of
+    vectors; where f or g is exactly zero the standard basis stands in.
     """
     nf = np.linalg.norm(f)
     ng = np.linalg.norm(g)
-    if nf == 0.0 or ng == 0.0:
-        return None
     d = f.size
+    if nf == 0.0 or ng == 0.0:
+        return np.eye(d, dtype=np.complex128)
     fh = f / nf
     gh = g / ng
     c = np.vdot(fh, gh)
@@ -126,39 +155,68 @@ def flat_basis(f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     phi = np.concatenate([np.zeros(odd), np.full(pairs, delta), np.full(pairs, -delta)])
     x = np.full(d, 1.0 / math.sqrt(d), dtype=np.complex128)
     y = np.exp(1j * (np.angle(c) + phi)) / math.sqrt(d)
-    return _frame(fh, gh) @ _frame(x, y).conj().T
+    q, r = _frame(np.array([fh, x]), np.array([gh, y]))
+    return q @ r.conj().T
+
+
+def _flat_bases(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """:func:`flat_basis` of each row."""
+    return np.array([flat_basis(x, y) for x, y in zip(f, g)])
 
 
 def _at_witness(inst: Instance, bound, witness, label: str, mode: str) -> OptimizationReport:
-    """The optimum over bases: ``bound`` at the basis ``witness(f, g)``, with no search.
+    """The optimum over bases for every row: ``bound`` at the bases ``witness(f, g)``, with no search.
 
     The witness and the bound read the instance's deviation vectors f, g.
-    When ``witness`` finds f or g null, the standard basis stands in.  At
-    d=1, [[1]] is the only basis and f, g vanish up to round-off: the lower
+    The caller checks the witness bases: :class:`OrthonormalBasis` for one
+    row, :func:`~varbounds.linalg.check_orthonormal` for a stack.  At d=1,
+    [[1]] is the only basis and f, g vanish up to round-off: the lower
     bounds are reported as 0, the reverse bound as its value there (+inf,
     because its positivity hypothesis fails).
     """
-    if not inst.state.is_pure:
+    if not inst.is_pure:
         raise MixedStateUnsupported("basis optimization is a pure-state construction")
-    d = inst.dim
-    if d == 1:
-        basis = OrthonormalBasis(np.ones((1, 1)))
-        value = 0.0 if mode == "max" else float(bound(inst, basis).value)
+    if inst.dim == 1:
+        columns = np.ones((len(inst), 1, 1), dtype=np.complex128)
     else:
-        u = witness(inst.dev_a, inst.dev_b)
-        basis = OrthonormalBasis.standard(d) if u is None else OrthonormalBasis(u)
-        value = float(bound(inst, basis).value)
-    return OptimizationReport(best_value=value, best_basis=basis, mode=mode, witness=label)
+        columns = witness(inst.dev_a, inst.dev_b)
+    value = bound(inst, columns).value
+    if inst.dim == 1 and mode == "max":
+        value = np.zeros(len(inst))
+    return OptimizationReport(best_value=value, best_basis=columns, mode=mode, witness=label)
+
+
+def _one(report: OptimizationReport) -> OptimizationReport:
+    """The report of a one-row instance, with a float value and an :class:`OrthonormalBasis`."""
+    return OptimizationReport(best_value=float(report.best_value[0]),
+                              best_basis=OrthonormalBasis(report.best_basis[0]),
+                              mode=report.mode, witness=report.witness)
 
 
 def product_optimum(inst: Instance) -> OptimizationReport:
-    """:func:`optimize_product_bound` of one instance."""
+    """:func:`optimize_product_bound` of every row of an instance."""
     return _at_witness(inst, basis_product, aligned_basis, "aligned", "max")
 
 
 def sum_optimum(inst: Instance) -> OptimizationReport:
-    """:func:`optimize_sum_bound` of one instance."""
+    """:func:`optimize_sum_bound` of every row of an instance."""
     return _at_witness(inst, basis_sum, aligned_basis, "aligned", "max")
+
+
+def _column(kind: str, report: OptimizationReport) -> BoundArrays:
+    """A stack of optima as a bound column, after checking every witness basis."""
+    check_orthonormal(report.best_basis)
+    return BoundArrays(kind, report.best_value)
+
+
+def optimized_product(inst: Instance) -> BoundArrays:
+    """The product optimum of each row, as the sweep column ``optimized_product``."""
+    return _column("optimized_product", product_optimum(inst))
+
+
+def optimized_sum(inst: Instance) -> BoundArrays:
+    """The sum optimum of each row, as the sweep column ``optimized_sum``."""
+    return _column("optimized_sum", sum_optimum(inst))
 
 
 def optimize_product_bound(state: QuantumState, a: Observable, b: Observable) -> OptimizationReport:
@@ -167,7 +225,7 @@ def optimize_product_bound(state: QuantumState, a: Observable, b: Observable) ->
     It equals Var A * Var B and is reached at :func:`aligned_basis`, which the
     report returns as its ``aligned`` witness.
     """
-    return product_optimum(Instance(state, a, b))
+    return _one(product_optimum(Instance(state, a, b)))
 
 
 def optimize_sum_bound(state: QuantumState, a: Observable, b: Observable) -> OptimizationReport:
@@ -176,7 +234,7 @@ def optimize_sum_bound(state: QuantumState, a: Observable, b: Observable) -> Opt
     It equals (Delta A + Delta B)^2 / 2 and is reached at :func:`aligned_basis`,
     which the report returns as its ``aligned`` witness.
     """
-    return sum_optimum(Instance(state, a, b))
+    return _one(sum_optimum(Instance(state, a, b)))
 
 
 def optimize_reverse_product_bound(state: QuantumState, a: Observable,
@@ -188,4 +246,4 @@ def optimize_reverse_product_bound(state: QuantumState, a: Observable,
     round-off dust at an eigenstate, the bound is undefined in every basis
     and the report gives +inf.
     """
-    return _at_witness(Instance(state, a, b), reverse_basis_product, flat_basis, "flat", "min")
+    return _one(_at_witness(Instance(state, a, b), reverse_basis_product, _flat_bases, "flat", "min"))

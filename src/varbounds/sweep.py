@@ -14,11 +14,13 @@ Presets:
   fidelity product bound;
 * ``fig4`` - same family, Dunkl-Williams variance-sum bound.
 
-Each row builds one :class:`~varbounds.moments.Instance` and evaluates
-every requested bound on it, so the moments, deviation vectors and
-fidelity sequences of a row are computed once; :func:`compute_instance`
-does the same for one call.  Every bound a sweep offers is in closed form,
-so no sweep runs a search.
+A sweep builds the family's state at each theta, stacks them into one
+:class:`~varbounds.moments.Instance` and calls each requested bound's
+formula once on it, so every bound of the sweep reads one set of moments,
+deviation vectors and fidelity sequences, computed for all rows at once;
+:func:`compute_instance` does the same for a one-row instance.  Each row
+holds the bits that the bound gives for that state alone.  Every bound a
+sweep offers is in closed form, so no sweep runs a search.
 ``optimized_product`` and ``optimized_sum`` are the basis bounds at the
 witness basis of :func:`varbounds.optimize.optimize_product_bound` and
 :func:`~varbounds.optimize.optimize_sum_bound`: Var A * Var B and
@@ -36,14 +38,12 @@ from . import __version__ as _pkg_version
 from .errors import ConfigError, UnknownBoundId, UnknownPreset
 from .linalg import (
     Observable,
-    OrthonormalBasis,
     QuantumState,
     pauli_operators,
     qubit_state_from_bloch,
     spin1_operators,
 )
 from .lower_bounds import (
-    BoundResult,
     basis_product,
     basis_sum,
     fidelity_product,
@@ -52,8 +52,8 @@ from .lower_bounds import (
     parallelogram_sum,
     rs_product,
 )
-from .moments import Instance
-from .optimize import product_optimum, sum_optimum
+from .moments import Instance, first_row
+from .optimize import optimized_product, optimized_sum
 from .upper_bounds import (
     dw_deviation_sum,
     dw_variance_sum,
@@ -104,35 +104,23 @@ class _BoundDef:
     target: str  # "product" | "sum" | "dev_sum"
     upper: bool
     pure_only: bool
-    compute: object  # (Instance) -> BoundResult
-
-
-def _std_basis(inst):
-    return OrthonormalBasis.standard(inst.dim)
-
-
-def _from_report(kind, report):
-    return BoundResult(kind=kind, value=report.best_value)
+    compute: object  # (Instance) -> BoundArrays; the basis bounds in the standard basis
 
 
 BOUNDS = {
     "rs_product": _BoundDef("product", False, False, rs_product),
-    "basis_product": _BoundDef("product", False, True,
-                               lambda inst: basis_product(inst, _std_basis(inst))),
+    "basis_product": _BoundDef("product", False, True, basis_product),
     "fidelity_product": _BoundDef("product", False, False, fidelity_product),
     "parallelogram_sum": _BoundDef("sum", False, False, parallelogram_sum),
-    "basis_sum": _BoundDef("sum", False, True, lambda inst: basis_sum(inst, _std_basis(inst))),
+    "basis_sum": _BoundDef("sum", False, True, basis_sum),
     "mp_sum_1": _BoundDef("sum", False, True, mp_sum_1),
     "mp_sum_2": _BoundDef("sum", False, True, mp_sum_2),
     "reverse_fidelity_product": _BoundDef("product", True, False, reverse_fidelity_product),
-    "reverse_basis_product": _BoundDef("product", True, True,
-                                       lambda inst: reverse_basis_product(inst, _std_basis(inst))),
+    "reverse_basis_product": _BoundDef("product", True, True, reverse_basis_product),
     "dw_deviation_sum": _BoundDef("dev_sum", True, False, dw_deviation_sum),
     "dw_variance_sum": _BoundDef("sum", True, False, dw_variance_sum),
-    "optimized_product": _BoundDef("product", False, True,
-                                   lambda inst: _from_report("optimized_product", product_optimum(inst))),
-    "optimized_sum": _BoundDef("sum", False, True,
-                               lambda inst: _from_report("optimized_sum", sum_optimum(inst))),
+    "optimized_product": _BoundDef("product", False, True, optimized_product),
+    "optimized_sum": _BoundDef("sum", False, True, optimized_sum),
 }
 
 BOUND_IDS = tuple(BOUNDS)
@@ -245,36 +233,27 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     if obs_a.dim != dim or obs_b.dim != dim:
         raise ConfigError("observable dimension does not match the state family")
 
-    thetas = np.linspace(spec.theta_start, spec.theta_stop, spec.theta_count)
+    thetas = np.linspace(spec.theta_start, spec.theta_stop, spec.theta_count).tolist()
+    inst = Instance([build(theta) for theta in thetas], obs_a, obs_b)
+    ms = inst.moments
+    dev_sum = ms.std_a + ms.std_b
 
     columns = ["theta", "exact_product", "exact_sum"]
+    cells = [thetas, (ms.var_a * ms.var_b).tolist(), (ms.var_a + ms.var_b).tolist()]
     need_dev = "dw_deviation_sum" in bound_ids
     if need_dev:
         columns.append("exact_dev_sum")
+        cells.append(dev_sum.tolist())
     for bid in bound_ids:
         columns.extend([bid, bid + "_status"])
+        cells.extend(BOUNDS[bid].compute(inst).cells())
     if need_dev:
+        # weaker corollary Delta(A-B) as a non-universal comparison column
+        delta_diff = np.sqrt(ms.var_diff)
         columns.extend(["delta_a_minus_b", "delta_a_minus_b_status"])
-
-    rows = []
-    for theta in thetas:
-        inst = Instance(build(float(theta)), obs_a, obs_b)
-        ms = inst.moments
-        row = [float(theta), ms.var_a * ms.var_b, ms.var_a + ms.var_b]
-        dev_sum = ms.std_a + ms.std_b
-        if need_dev:
-            row.append(dev_sum)
-        for bid in bound_ids:
-            res = BOUNDS[bid].compute(inst)
-            if res.defined:
-                row.extend([float(res.value), "ok"])
-            else:
-                row.extend([None, res.reason])
-        if need_dev:
-            # weaker corollary Delta(A-B) as a non-universal comparison column
-            delta_diff = math.sqrt(max(ms.var_a + ms.var_b - 2.0 * ms.cov, 0.0))
-            row.extend([delta_diff, "holds" if delta_diff >= dev_sum - 1e-12 else "fails"])
-        rows.append(row)
+        cells.extend([delta_diff.tolist(),
+                      np.where(delta_diff >= dev_sum - 1e-12, "holds", "fails").tolist()])
+    rows = [list(row) for row in zip(*cells)]
 
     metadata = {
         "preset": spec.preset,
@@ -312,9 +291,9 @@ def compute_instance(state: QuantumState, obs_a: Observable, obs_b: Observable,
     ms = inst.moments
     out = {
         "exact": {
-            "product": ms.var_a * ms.var_b,
-            "sum": ms.var_a + ms.var_b,
-            "dev_sum": ms.std_a + ms.std_b,
+            "product": first_row(ms.var_a * ms.var_b),
+            "sum": first_row(ms.var_a + ms.var_b),
+            "dev_sum": first_row(ms.std_a + ms.std_b),
         },
         "bounds": {},
     }
@@ -325,11 +304,11 @@ def compute_instance(state: QuantumState, obs_a: Observable, obs_b: Observable,
                                   "status": "mixed state unsupported",
                                   "target": bdef.target, "upper": bdef.upper}
             continue
-        res = bdef.compute(inst)
+        (value,), (status,) = bdef.compute(inst).cells()
         out["bounds"][bid] = {
-            "value": float(res.value) if res.defined else None,
-            "defined": res.defined,
-            "status": "ok" if res.defined else res.reason,
+            "value": value,
+            "defined": value is not None,
+            "status": status,
             "target": bdef.target,
             "upper": bdef.upper,
         }

@@ -10,10 +10,12 @@ Two families:
 * Dunkl-Williams sum bounds on Delta A + Delta B and on the sum of
   variances.
 
-As in :mod:`varbounds.lower_bounds`, each formula is a function of one
-:class:`~varbounds.moments.Instance` and each ``*_bound`` builds one.  The
-positivity test and the reverse factor work along the last axis, so
-:mod:`varbounds.verify` applies the same rule to whole ensembles.
+As in :mod:`varbounds.lower_bounds`, each formula evaluates every row of
+one :class:`~varbounds.moments.Instance` and returns a
+:class:`~varbounds.lower_bounds.BoundArrays`, and each ``*_bound`` returns
+the row of a one-row instance.  The positivity test and the reverse factor
+work along the last axis, so :mod:`varbounds.verify` applies the same rule
+to whole ensembles.
 
 An upper bound that cannot be formed (hypothesis violation, vanishing
 denominator) is returned with ``defined=False`` and the +inf sentinel
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Observable, OrthonormalBasis, QuantumState
-from .lower_bounds import BoundResult, _alpha_beta
-from .moments import Instance, MomentSet
+from .lower_bounds import BoundArrays, BoundResult
+from .moments import Instance, MomentSet, coefficient_moduli, inner, pow2
 
 __all__ = [
     "ReverseFactor",
@@ -62,10 +64,24 @@ class ReverseFactor:
 
     @property
     def factor(self) -> float:
-        num = (self.max_a * self.max_b + self.min_a * self.min_b) ** 2
-        den = 4.0 * self.max_a * self.max_b * self.min_a * self.min_b
+        num, den = self._terms(lambda x: x ** 2)
         with np.errstate(divide="ignore", invalid="ignore"):
             return num / den
+
+    def pow_factor(self, where: np.ndarray) -> np.ndarray:
+        """:attr:`factor` on the rows of ``where`` (+inf elsewhere), its square rounded by ``pow``.
+
+        That is how a Python float is squared, so each row has the bits of
+        one pair of sequences (see :func:`varbounds.moments.pow2`); the
+        stacked :attr:`factor` squares elementwise, as :mod:`varbounds.verify`
+        does.
+        """
+        num, den = self._terms(pow2)
+        return np.divide(num, den, out=np.full(np.shape(den), np.inf), where=where)
+
+    def _terms(self, square):
+        num = square(self.max_a * self.max_b + self.min_a * self.min_b)
+        return num, 4.0 * self.max_a * self.max_b * self.min_a * self.min_b
 
     @classmethod
     def from_sequences(cls, c: np.ndarray, d: np.ndarray) -> "ReverseFactor":
@@ -86,14 +102,38 @@ def _strictly_positive(seq: np.ndarray, scale=None) -> np.ndarray:
     as violating the hypothesis, exactly like their exact-arithmetic zeros
     would.
     """
-    top = seq.max(axis=-1)
-    ok = (top > 0) & (seq.min(axis=-1) > POSITIVITY_RTOL * top)
+    return _positive_extremes(seq.max(axis=-1), seq.min(axis=-1), scale)
+
+
+def _positive_extremes(top, low, scale=None):
+    """:func:`_strictly_positive` of sequences with largest entries ``top`` and smallest ``low``."""
+    ok = (top > 0) & (low > POSITIVITY_RTOL * top)
     if scale is not None:
         ok &= top > POSITIVITY_RTOL * scale
     return ok
 
 
-def reverse_fidelity_product(inst: Instance) -> BoundResult:
+def _reverse_product(kind: str, seqs: np.ndarray, scales, factor_name: str) -> BoundArrays:
+    """Omega * (sum_i c_i d_i)^2 per row, undefined where c or d is not strictly positive.
+
+    ``seqs`` stacks c and d, shape (2, rows, k); ``scales`` are their
+    absolute positivity scales.
+    """
+    top, low = seqs.max(axis=-1), seqs.min(axis=-1)
+    ok = _positive_extremes(top, low, np.array(scales)).all(axis=0)
+    rf = ReverseFactor(max_a=top[0], min_a=low[0], max_b=top[1], min_b=low[1])
+    omega = rf.pow_factor(ok)
+    s = inner(*seqs)
+    value = np.multiply(omega, pow2(s), out=np.full(len(s), np.inf), where=ok)
+    return BoundArrays.upper(kind, value, [(~ok, HYPOTHESIS_REASON)], **{
+        factor_name: omega,
+        "paired_sum": s,
+        "max_a": rf.max_a, "min_a": rf.min_a,
+        "max_b": rf.max_b, "min_b": rf.min_b,
+    })
+
+
+def reverse_fidelity_product(inst: Instance) -> BoundArrays:
     """Omega * (sum_i c_i d_i)^2 with c, d the absolute weighted sequences.
 
     Defined only when every entry of both sequences is strictly positive
@@ -101,30 +141,13 @@ def reverse_fidelity_product(inst: Instance) -> BoundResult:
     the same sorted-signed arrangement used by the fidelity product bound.
     """
     seqs = inst.sequences
-    c = np.abs(seqs.u)
-    d = np.abs(seqs.v)
-    scale_a, scale_b = inst.eig_scales
-    if not (_strictly_positive(c, scale_a) and _strictly_positive(d, scale_b)):
-        return BoundResult.undefined("reverse_fidelity_product", HYPOTHESIS_REASON, c=c, d=d)
-    rf = ReverseFactor.from_sequences(c, d)
-    omega = rf.factor
-    s = float(np.dot(c, d))
-    return BoundResult(
-        kind="reverse_fidelity_product",
-        value=omega * s**2,
-        intermediates={
-            "c": c,
-            "d": d,
-            "omega": omega,
-            "paired_sum": s,
-            "max_a": rf.max_a, "min_a": rf.min_a,
-            "max_b": rf.max_b, "min_b": rf.min_b,
-            "pairing": "sorted-signed order",
-        },
-    )
+    c, d = cd = np.abs(np.array([seqs.u, seqs.v]))
+    res = _reverse_product("reverse_fidelity_product", cd, inst.eig_scales, "omega")
+    res.intermediates.update(c=c, d=d, pairing="sorted-signed order")
+    return res
 
 
-def reverse_basis_product(inst: Instance, basis: OrthonormalBasis) -> BoundResult:
+def reverse_basis_product(inst: Instance, basis=None) -> BoundArrays:
     """Lambda * (sum_n |alpha_n||beta_n|)^2 for a pure state and a chosen basis.
 
     By Polya-Szego it is at least ||alpha||^2 ||beta||^2 = Var A * Var B, with
@@ -132,98 +155,65 @@ def reverse_basis_product(inst: Instance, basis: OrthonormalBasis) -> BoundResul
     equal; :func:`varbounds.optimize.optimize_reverse_product_bound` returns
     such a basis and this minimum.  The positivity floor is scaled by
     ||A - <A>||_F and ||B - <B>||_F, so at an eigenstate of A or B the bound
-    is undefined in every basis.
+    is undefined in every basis.  ``basis`` is as in
+    :func:`~varbounds.moments.coefficient_moduli`.
     """
-    alpha, beta = _alpha_beta(inst, basis)
-    aa = np.abs(alpha)
-    bb = np.abs(beta)
-    scale_a, scale_b = inst.frobenius_scales
-    if not (_strictly_positive(aa, scale_a) and _strictly_positive(bb, scale_b)):
-        return BoundResult.undefined("reverse_basis_product", HYPOTHESIS_REASON,
-                                     alpha_abs=aa, beta_abs=bb)
-    lam = ReverseFactor.from_sequences(aa, bb).factor
-    s = float(np.dot(aa, bb))
-    return BoundResult(
-        kind="reverse_basis_product",
-        value=lam * s**2,
-        intermediates={
-            "alpha_abs": aa,
-            "beta_abs": bb,
-            "lambda": lam,
-            "paired_sum": s,
-        },
-    )
+    moduli = coefficient_moduli(inst, basis)
+    res = _reverse_product("reverse_basis_product", moduli, inst.frobenius_scales, "lambda")
+    res.intermediates.update(alpha_abs=moduli[0], beta_abs=moduli[1])
+    return res
 
 
-def _dw_ingredients(ms: MomentSet):
-    if ms.var_a <= 0.0 or ms.var_b <= 0.0:
-        return None, NULL_DEVIATION_REASON
-    denom = 1.0 - ms.cov / (ms.std_a * ms.std_b)
-    if denom <= DENOMINATOR_TOL:
-        return None, CORRELATED_REASON
-    return denom, None
+def _dw_denominator(ms: MomentSet) -> tuple[np.ndarray, list]:
+    """1 - Cov/(Delta A Delta B) per row, and the cases where the Dunkl-Williams bounds are undefined.
+
+    The denominator reads 1 where a variance vanishes; those rows are undefined.
+    """
+    null = (ms.var_a <= 0.0) | (ms.var_b <= 0.0)
+    denom = np.where(null, 1.0, 1.0 - ms.cov / np.where(null, 1.0, ms.std_a * ms.std_b))
+    return denom, [(null, NULL_DEVIATION_REASON), (denom <= DENOMINATOR_TOL, CORRELATED_REASON)]
 
 
-def dw_deviation_sum(inst: Instance) -> BoundResult:
+def dw_deviation_sum(inst: Instance) -> BoundArrays:
     """Dunkl-Williams upper bound on Delta A + Delta B.
 
     sqrt(2) * Delta(A-B) / sqrt(1 - Cov/(Delta A Delta B)); works for mixed
     states through trace moments.
     """
     ms = inst.moments
-    denom, reason = _dw_ingredients(ms)
-    var_diff = max(ms.var_a + ms.var_b - 2.0 * ms.cov, 0.0)
-    if reason is not None:
-        return BoundResult.undefined("dw_deviation_sum", reason,
-                                     variance_of_difference=var_diff)
-    value = float(np.sqrt(2.0 * var_diff / denom))
-    return BoundResult(
-        kind="dw_deviation_sum",
-        value=value,
-        intermediates={
-            "variance_of_difference": var_diff,
-            "denominator": denom,
-            "deviation_sum": ms.std_a + ms.std_b,
-        },
-    )
+    denom, cases = _dw_denominator(ms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.sqrt(2.0 * ms.var_diff / denom)
+    return BoundArrays.upper("dw_deviation_sum", value, cases, variance_of_difference=ms.var_diff,
+                             denominator=denom, deviation_sum=ms.std_a + ms.std_b)
 
 
-def dw_variance_sum(inst: Instance) -> BoundResult:
+def dw_variance_sum(inst: Instance) -> BoundArrays:
     """Squared Dunkl-Williams bound: 2 Delta(A-B)^2 / (1 - Cov/(DA DB)) - 2 DA DB."""
     ms = inst.moments
-    denom, reason = _dw_ingredients(ms)
-    var_diff = max(ms.var_a + ms.var_b - 2.0 * ms.cov, 0.0)
-    if reason is not None:
-        return BoundResult.undefined("dw_variance_sum", reason,
-                                     variance_of_difference=var_diff)
-    value = 2.0 * var_diff / denom - 2.0 * ms.std_a * ms.std_b
-    return BoundResult(
-        kind="dw_variance_sum",
-        value=float(value),
-        intermediates={
-            "variance_of_difference": var_diff,
-            "denominator": denom,
-            "variance_sum": ms.var_a + ms.var_b,
-        },
-    )
+    denom, cases = _dw_denominator(ms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = 2.0 * ms.var_diff / denom - 2.0 * ms.std_a * ms.std_b
+    return BoundArrays.upper("dw_variance_sum", value, cases, variance_of_difference=ms.var_diff,
+                             denominator=denom, variance_sum=ms.var_a + ms.var_b)
 
 
 def reverse_fidelity_product_bound(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
     """:func:`reverse_fidelity_product` of one state and pair."""
-    return reverse_fidelity_product(Instance(state, a, b))
+    return reverse_fidelity_product(Instance(state, a, b)).one()
 
 
 def reverse_basis_product_bound(state: QuantumState, a: Observable, b: Observable,
                                 basis: OrthonormalBasis) -> BoundResult:
     """:func:`reverse_basis_product` of one pure state and pair, in ``basis``."""
-    return reverse_basis_product(Instance(state, a, b), basis)
+    return reverse_basis_product(Instance(state, a, b), basis).one()
 
 
 def dw_deviation_sum_bound(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
     """:func:`dw_deviation_sum` of one state and pair."""
-    return dw_deviation_sum(Instance(state, a, b))
+    return dw_deviation_sum(Instance(state, a, b)).one()
 
 
 def dw_variance_sum_bound(state: QuantumState, a: Observable, b: Observable) -> BoundResult:
     """:func:`dw_variance_sum` of one state and pair."""
-    return dw_variance_sum(Instance(state, a, b))
+    return dw_variance_sum(Instance(state, a, b)).one()

@@ -1,4 +1,4 @@
-"""One shared Instance per row or call, bit for bit equal to every bound on its own."""
+"""One stacked Instance per sweep or call; each row bit for bit equal to every bound on its own."""
 
 import math
 import sys
@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from oracles import REFERENCE_BOUNDS, reference_bound, reference_exact
+from varbounds.errors import DimensionMismatch, VarboundsError
 from varbounds.linalg import Observable, QuantumState, pauli_operators, spin1_operators
-from varbounds.moments import Instance
+from varbounds.moments import Instance, covariance, variance
 from varbounds.random_ensembles import gue_hermitian, haar_state
 from varbounds.sweep import (
     BOUND_IDS,
+    BOUNDS,
     SweepSpec,
     _PRESETS,
     compute_instance,
@@ -72,21 +74,55 @@ def test_the_reference_covers_every_bound():
     assert sorted(REFERENCE_BOUNDS) == sorted(BOUND_IDS)
 
 
-@pytest.mark.parametrize("preset", sorted(_PRESETS))
+# The presets with their own bounds, then both families with every bound:
+# these add exact_dev_sum, delta_a_minus_b and undefined cells (at theta=0 the
+# Bloch state is an eigenstate of sigma_x).
+SWEEPS = {
+    **{p: dict(preset=p) for p in sorted(_PRESETS)},
+    "spin1_cos_sin-all": dict(preset="custom", state_family="spin1_cos_sin",
+                              observables=("spin1_lx", "spin1_ly"), bounds=BOUND_IDS),
+    "qubit_bloch_fig3-all": dict(preset="custom", state_family="qubit_bloch_fig3",
+                                 observables=("pauli_x", "pauli_z"), bounds=BOUND_IDS),
+}
+
+
+def _sweep_spec(sweep):
+    """(spec, family, observable names, bounds) of a :data:`SWEEPS` entry."""
+    kw = SWEEPS[sweep]
+    if kw["preset"] != "custom":
+        p = _PRESETS[kw["preset"]]
+        return SweepSpec(preset=kw["preset"], theta_count=181), p["family"], p["observables"], p["bounds"]
+    a, b = (named_observable(n) for n in kw["observables"])
+    spec = SweepSpec(preset="custom", state_family=kw["state_family"], observables=(a, b),
+                     bounds=kw["bounds"], theta_count=181)
+    return spec, kw["state_family"], kw["observables"], kw["bounds"]
+
+
+@pytest.mark.parametrize("preset", sorted(SWEEPS))
 def test_sweep_rows_equal_each_bound_on_its_own(preset):
-    table = run_sweep(SweepSpec(preset=preset, theta_count=181))
-    p = _PRESETS[preset]
-    _, build = state_family(p["family"])
-    a, b = (named_observable(n) for n in p["observables"])
+    spec, family, names, bounds = _sweep_spec(preset)
+    table = run_sweep(spec)
+    _, build = state_family(family)
+    a, b = (named_observable(n) for n in names)
+    undefined = 0
     for row in table.rows:
         cells = dict(zip(table.columns, row))
         state = build(cells["theta"])
         exact = reference_exact(state, a, b)
         assert _bits(cells["exact_product"]) == _bits(exact["product"])
         assert _bits(cells["exact_sum"]) == _bits(exact["sum"])
-        for bid in p["bounds"]:
+        for bid in bounds:
             value, status = reference_bound(bid, state, a, b)
             assert (_bits(cells[bid]), cells[bid + "_status"]) == (_bits(value), status), (preset, bid)
+            undefined += value is None
+        if "exact_dev_sum" in cells:
+            assert _bits(cells["exact_dev_sum"]) == _bits(exact["dev_sum"])
+            var_a, var_b = variance(state, a), variance(state, b)
+            dev = math.sqrt(max(var_a + var_b - 2.0 * covariance(state, a, b), 0.0))
+            assert _bits(cells["delta_a_minus_b"]) == _bits(dev)
+            assert cells["delta_a_minus_b_status"] == ("holds" if dev >= exact["dev_sum"] - 1e-12 else "fails")
+    if bounds == BOUND_IDS:
+        assert "exact_dev_sum" in table.columns and undefined > 0
 
 
 @pytest.mark.parametrize("label", sorted({c[0] for c in CASES}))
@@ -103,6 +139,34 @@ def test_compute_instance_equals_each_bound_on_its_own(label):
                 (_bits(value), value is not None, status), (label, state.dim, bid)
             checked += 1
     assert checked >= 13 * 10
+
+
+def test_a_stack_of_states_equals_each_state_on_its_own():
+    # the pure states of each pair (Haar and eigenstates) as one stack, the
+    # mixed ones as another: every row has the cells of its one-row instance
+    by_pair = {}
+    for _, state, a, b in CASES:
+        key = (a.matrix.tobytes(), b.matrix.tobytes(), state.is_pure)
+        by_pair.setdefault(key, (a, b, []))[2].append(state)
+    assert {len(states) for _, _, states in by_pair.values()} == {2, 3}
+    for a, b, states in by_pair.values():
+        stack = Instance(states, a, b)
+        for bid, bdef in BOUNDS.items():
+            if bdef.pure_only and not states[0].is_pure:
+                continue
+            values, statuses = bdef.compute(stack).cells()
+            for i, state in enumerate(states):
+                (value,), (status,) = bdef.compute(Instance(state, a, b)).cells()
+                assert (_bits(values[i]), statuses[i]) == (_bits(value), status), (bid, a.dim, i)
+
+
+def test_a_stack_holds_states_of_one_kind_and_dimension():
+    sx, _, sz = pauli_operators()
+    pure, mixed = QuantumState.pure([1.0, 0.0]), QuantumState.mixed(np.eye(2) / 2)
+    with pytest.raises(VarboundsError):
+        Instance([pure, mixed], sx, sz)
+    with pytest.raises(DimensionMismatch):
+        Instance([pure, QuantumState.pure([1.0, 0.0, 0.0])], sx, sz)
 
 
 def test_eigenstates_leave_the_reverse_basis_bound_undefined():
@@ -150,8 +214,10 @@ def test_compute_instance_builds_one_instance(work, label):
 
 @pytest.mark.parametrize("preset", sorted(_PRESETS))
 def test_sweep_builds_one_instance_per_row(work, preset):
-    run_sweep(SweepSpec(preset=preset, theta_count=7, bounds=BOUND_IDS))
-    assert work == {"instances": 7, "standalone": 0}
+    # one stacked instance per sweep, whatever the grid, and no standalone moment calls
+    for count in (2, 7):
+        run_sweep(SweepSpec(preset=preset, theta_count=count, bounds=BOUND_IDS))
+    assert work == {"instances": 2, "standalone": 0}
 
 
 def test_instance_reads_are_kept():
@@ -159,10 +225,11 @@ def test_instance_reads_are_kept():
     inst = Instance(state, a, b)
     for name in ("dev_a", "dev_b", "sequences", "eig_scales", "frobenius_scales"):
         assert getattr(inst, name) is getattr(inst, name)
-    assert inst.eig_scales[0] == float(np.abs(a.eigenvalues - inst.moments.mean_a).max())
-    assert inst.frobenius_scales[0] >= inst.eig_scales[0]
-    assert math.isclose(inst.frobenius_scales[0] ** 2,
-                        float(np.sum(np.abs(a.matrix - inst.moments.mean_a * np.eye(a.dim)) ** 2)))
+    # a one-state instance has one row
+    (mean_a,), (scale_a,), (frobenius_a,) = inst.moments.mean_a, inst.eig_scales[0], inst.frobenius_scales[0]
+    assert scale_a == float(np.abs(a.eigenvalues - mean_a).max())
+    assert frobenius_a >= scale_a
+    assert math.isclose(frobenius_a ** 2, float(np.sum(np.abs(a.matrix - mean_a * np.eye(a.dim)) ** 2)))
 
 
 def test_means_only_bounds_compute_no_moments():

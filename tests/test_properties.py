@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian, random_mixed_state, random_pure_state
@@ -202,8 +202,21 @@ def _conjugated_values(u, state, a, b, basis, names):
     return {name: COVARIANT_BOUNDS[name][1](state, a, b, basis).value for name in names}
 
 
+# The Dunkl-Williams bounds divide by 1 - Cov/(Delta A Delta B), which is
+# formed with an absolute error of a few eps.  Near perfect correlation that
+# error, relative to the denominator, passes into the bounds to first order:
+# their tolerance is max(1e-10, DW_ROUNDING * eps / denominator).  On this
+# test's draws for seeds 0-2999 (d = 2, 3, 4, 6, pure and mixed: 24 000
+# instances) the drift never exceeded 100 eps / denominator (seed 1538, d = 2,
+# pure, denominator 7e-8); DW_ROUNDING = 256 keeps a margin over that.  Every
+# other bound keeps 1e-10.
+DW_ROUNDING = 256
+DW_BOUNDS = ("dw_deviation_sum", "dw_variance_sum")
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, d=DIMS, pure=st.booleans())
+@example(seed=24104, d=2, pure=True)  # denominator 1.65e-6: dw_deviation_sum drifts by 2e-10
 def test_search_free_bounds_are_unitarily_covariant(seed, d, pure):
     # GUE pairs are non-degenerate with probability 1, so each eigenvector is
     # fixed up to its phase and no bound may depend on the solver's choices.
@@ -214,8 +227,11 @@ def test_search_free_bounds_are_unitarily_covariant(seed, d, pure):
     names = [n for n, (pure_only, _) in COVARIANT_BOUNDS.items() if pure or not pure_only]
     before = _conjugated_values(np.eye(d), state, a, b, basis, names)
     after = _conjugated_values(_haar_unitaries(rng, 1, d)[0], state, a, b, basis, names)
+    denom = dw_deviation_sum_bound(state, a, b).intermediates["denominator"]
+    dw_rel = max(1e-10, DW_ROUNDING * np.finfo(float).eps / denom)
     for name in names:
-        assert after[name] == pytest.approx(before[name], rel=1e-10), name
+        rel = dw_rel if name in DW_BOUNDS else 1e-10
+        assert after[name] == pytest.approx(before[name], rel=rel), name
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
