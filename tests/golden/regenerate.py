@@ -1,0 +1,77 @@
+"""Regenerate the golden outputs of ``compute`` and ``optimize`` under tests/golden/.
+
+Usage, from the root of a checkout::
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+Every config in ``configs/`` is run through ``compute`` (JSON and CSV) and,
+for pure states, through ``optimize`` with each objective (JSON and CSV).
+Mixed states are run through ``optimize --objective product`` too, which
+must fail with exit code 2.  Each output goes to ``out/`` and
+``MANIFEST.json`` lists the cases with their argv, exit code and stderr, plus
+the commit the outputs were made at.  ``tests/test_golden.py`` compares the
+program against these files.  Regenerate only when an output is meant to
+change, and say so in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+CONFIGS = HERE / "configs"
+OUT = HERE / "out"
+OBJECTIVES = ("product", "sum", "reverse_product")
+FORMATS = ("json", "csv")
+
+
+def cases() -> dict[str, list[str]]:
+    """Output file name -> CLI argv, with config paths relative to this directory."""
+    out = {}
+    for cfg in sorted(CONFIGS.glob("*.cfg")):
+        rel = f"configs/{cfg.name}"
+        mixed = "rho" in cfg.read_text()
+        for fmt in FORMATS:
+            out[f"{cfg.stem}.compute.{fmt}"] = ["compute", "--config", rel, "--format", fmt]
+            for objective in (OBJECTIVES[:1] if mixed else OBJECTIVES):
+                if mixed and fmt == "csv":
+                    continue
+                out[f"{cfg.stem}.optimize_{objective}.{fmt}"] = [
+                    "optimize", "--config", rel, "--objective", objective, "--format", fmt]
+    return out
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """``varbounds`` in this process: exit code, stdout and stderr."""
+    from varbounds import cli
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    full = [str(HERE / a) if a.startswith("configs/") else a for a in argv]
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(full)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def main() -> int:
+    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=HERE, capture_output=True,
+                            text=True, check=True).stdout.strip()
+    dirty = subprocess.run(["git", "status", "--porcelain", "--", "../../src"], cwd=HERE,
+                           capture_output=True, text=True, check=True).stdout.strip()
+    OUT.mkdir(exist_ok=True)
+    manifest = {"commit": commit + ("+modified src" if dirty else ""), "cases": {}}
+    for name, argv in cases().items():
+        code, stdout, stderr = run(argv)
+        (OUT / name).write_text(stdout, encoding="utf-8")
+        manifest["cases"][name] = {"argv": argv, "exit": code, "stderr": stderr}
+    (HERE / "MANIFEST.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    print(f"{len(manifest['cases'])} cases at {manifest['commit']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
