@@ -48,8 +48,9 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _read_config(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    # bytes decoded at once skip the text layer; parse_config splits \r\n and \r as text mode would
+    with open(path, "rb") as fh:
+        return parse_config(fh.read().decode("utf-8"))
 
 
 def _write(text: str, out: str | None) -> None:
@@ -141,10 +142,9 @@ def _cmd_optimize(args) -> int:
         "objective": args.objective,
         "mode": report.mode,
         "best_value": report.best_value,
-        "best_basis_columns": [
-            [[c.real, c.imag] for c in report.best_basis.columns[:, k]]
-            for k in range(report.best_basis.dim)
-        ],
+        # Python floats: the renderer writes them without the isinstance path of numpy scalars
+        "best_basis_columns": [[[c.real, c.imag] for c in column]
+                               for column in report.best_basis.columns.T.tolist()],
         "witness": report.witness,
     }
     if args.format == "json":
@@ -200,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.set_defaults(func=_cmd_optimize)
 
+    parser.commands = sub.choices  # name -> parser of each sub-command, for _parse_args
     return parser
 
 
@@ -210,8 +211,28 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, with the sub-command's own parser called directly.
+
+    The top-level parser hands every string after the command name to that
+    command's parser, copies the namespace it returns and rejects what it
+    leaves over as unrecognized.  Doing the same here gives the same
+    namespace, help and errors without the top-level pass over the strings,
+    which costs about as much as the sub-command's own parse.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(_parser(), argv)
     try:
         return args.func(args)
     except VarboundsError as exc:

@@ -70,22 +70,40 @@ def parse_complex(token: str) -> complex:
         raise ConfigError(f"bad complex literal {token!r}") from None
 
 
+def _entries(rows: list[str]) -> list[list[complex]]:
+    """The complex entries of each row of a literal, in one pass over its text.
+
+    A row that fails raises what :func:`parse_vector` raises for it, and the
+    first such row wins, so every error is the one a row-by-row parse gives.
+    """
+    try:
+        # "i" -> "j" touches each token as parse_complex does: no separator is an "i"
+        parsed = [[complex(t) for t in r.replace("i", "j").replace(",", " ").split()] for r in rows]
+    except ValueError:
+        parsed = None
+    if parsed is None or not all(parsed):
+        for r in rows:
+            tokens = r.replace(",", " ").split()
+            if not tokens:
+                raise ConfigError("empty vector literal")
+            for t in tokens:
+                parse_complex(t)
+    return parsed
+
+
 def parse_vector(value: str) -> np.ndarray:
-    tokens = value.replace(",", " ").split()
-    if not tokens:
-        raise ConfigError("empty vector literal")
-    return np.array([parse_complex(t) for t in tokens])
+    return np.array(_entries([value])[0], dtype=np.complex128)
 
 
 def parse_matrix(value: str) -> np.ndarray:
     rows = [r for r in value.split(";") if r.strip()]
     if not rows:
         raise ConfigError("empty matrix literal")
-    parsed = [parse_vector(r) for r in rows]
+    parsed = _entries(rows)
     width = len(parsed[0])
     if any(len(r) != width for r in parsed):
         raise ConfigError("matrix rows have unequal lengths")
-    return np.array(parsed)
+    return np.array(parsed, dtype=np.complex128)
 
 
 def _get_float(section: dict, key: str, default: float) -> float:

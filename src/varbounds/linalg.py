@@ -29,8 +29,9 @@ __all__ = [
 ORTHONORMALITY_TOL = 1e-10
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
+def _frozen(a: np.ndarray, fresh: bool = False) -> np.ndarray:
+    """A read-only copy of ``a``; ``a`` itself when the caller just made it (``fresh``)."""
+    out = a if fresh else np.array(a)
     out.setflags(write=False)
     return out
 
@@ -82,14 +83,14 @@ class Observable:
         m = require_hermitian(np.asarray(matrix, dtype=np.complex128))
         if m.ndim != 2:
             raise VarboundsError("Observable expects a single matrix")
-        self.matrix = _frozen(m)
+        self.matrix = _frozen(m, fresh=True)
         self._spectrum = None
 
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         spectrum = self._spectrum
         if spectrum is None:
             w, v = hermitian_eigh(self.matrix)
-            spectrum = self._spectrum = (_frozen(w), _frozen(v))
+            spectrum = self._spectrum = (_frozen(w, fresh=True), _frozen(v, fresh=True))
         return spectrum
 
     @property
@@ -124,7 +125,7 @@ class QuantumState:
             nrm = np.linalg.norm(v)
             if abs(nrm - 1.0) > 1e-12:
                 raise VarboundsError(f"pure state norm {nrm!r} is not 1 within 1e-12")
-            self.vector = _frozen(v / nrm)
+            self.vector = _frozen(v / nrm, fresh=True)
             self.rho = None
         elif kind == "mixed":
             r = require_hermitian(np.asarray(rho, dtype=np.complex128))
@@ -135,7 +136,7 @@ class QuantumState:
             if low < -1e-10:
                 raise VarboundsError(f"density matrix has eigenvalue {low:.3e} < -1e-10")
             self.vector = None
-            self.rho = _frozen(r)
+            self.rho = _frozen(r, fresh=True)
         else:
             raise VarboundsError(f"unknown state kind {kind!r}")
         self.kind = kind

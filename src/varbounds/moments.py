@@ -350,18 +350,18 @@ class Instance:
         return SortedWeightSequences(u=u, v=v, u_indices=ui, v_indices=vi)
 
     @cached_property
-    def eig_scales(self) -> tuple[np.ndarray, np.ndarray]:
-        """The largest eigenvalue deviations max_i |a_i - <A>| and max_i |b_i - <B>|.
+    def eig_scales(self) -> np.ndarray:
+        """The largest eigenvalue deviations max_i |a_i - <A>| and max_i |b_i - <B>|, shape (2, rows).
 
         The deviations ascend with the eigenvalues, so the largest modulus
         is at one end.
         """
-        return tuple(np.abs(self._eig_devs[..., [0, -1]]).max(axis=-1))
+        return np.abs(self._eig_devs[..., [0, -1]]).max(axis=-1)
 
     @cached_property
-    def frobenius_scales(self) -> tuple[np.ndarray, np.ndarray]:
-        """||A - <A>||_F and ||B - <B>||_F per row (see :func:`deviation_norm`)."""
-        return tuple(deviation_norm(self._pair[:, None], self._means))
+    def frobenius_scales(self) -> np.ndarray:
+        """||A - <A>||_F and ||B - <B>||_F per row, shape (2, rows) (see :func:`deviation_norm`)."""
+        return deviation_norm(self._pair[:, None], self._means)
 
 
 def coefficient_moduli(inst: Instance, basis=None) -> np.ndarray:

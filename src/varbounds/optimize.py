@@ -80,7 +80,7 @@ def _frame(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     uv[..., 0] = u
     uv[..., 1] = v
     q, r = np.linalg.qr(uv, mode="complete")
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    diag = r.diagonal(0, -2, -1)
     mod = np.abs(diag)
     phase = np.ones(q.shape[:-1], dtype=np.complex128)
     np.divide(diag, mod, out=phase[..., :diag.shape[-1]], where=mod != 0)
@@ -115,8 +115,8 @@ def aligned_basis(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """
     d = f.shape[-1]
     rows_f, rows_g = f.reshape(-1, d), g.reshape(-1, d)
-    ff, gg, ov = inner(np.array([rows_f, rows_g, rows_f]), np.array([rows_f, rows_g, rows_g]))
-    scales = [_aligned_scale(*row) for row in zip(ff.real.tolist(), gg.real.tolist(), ov.tolist())]
+    ff, gg, ov = inner(np.array([rows_f, rows_g, rows_f]), np.array([rows_f, rows_g, rows_g])).tolist()
+    scales = [_aligned_scale(x.real, y.real, z) for x, y, z in zip(ff, gg, ov)]
     null = [x is None for x in scales]
     rows_g = rows_g * np.array([0.0 if x is None else x for x in scales])[:, None]
     columns = _frame(rows_f + rows_g, rows_f - rows_g)
@@ -145,16 +145,16 @@ def flat_basis(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     fh = f / nf
     gh = g / ng
     c = np.vdot(fh, gh)
-    m = abs(c)
+    m = float(abs(c))  # numpy's modulus; the scalar arithmetic below is then in Python floats
     # cos delta = (d m - odd) / (d - odd), taken through atan2 with the sine
     # built from s = sin(angle between f and g), which stays accurate where
     # m rounds to 1 (the phases must match g's tiny part orthogonal to f)
     s = np.linalg.norm(gh - c * fh)
     pairs, odd = divmod(d, 2)
     delta = math.atan2(s * math.sqrt(d * (d * (1 + m) - 2 * odd) / (1 + m)), d * m - odd)
-    phi = np.concatenate([np.zeros(odd), np.full(pairs, delta), np.full(pairs, -delta)])
+    phi = np.array([0.0] * odd + [delta] * pairs + [-delta] * pairs)
     x = np.full(d, 1.0 / math.sqrt(d), dtype=np.complex128)
-    y = np.exp(1j * (np.angle(c) + phi)) / math.sqrt(d)
+    y = np.exp(1j * (np.arctan2(c.imag, c.real) + phi)) / math.sqrt(d)  # arg c as np.angle takes it
     q, r = _frame(np.array([fh, x]), np.array([gh, y]))
     return q @ r.conj().T
 

@@ -107,9 +107,9 @@ def _strictly_positive(seq: np.ndarray, scale=None) -> np.ndarray:
 
 def _positive_extremes(top, low, scale=None):
     """:func:`_strictly_positive` of sequences with largest entries ``top`` and smallest ``low``."""
-    ok = (top > 0) & (low > POSITIVITY_RTOL * top)
-    if scale is not None:
-        ok &= top > POSITIVITY_RTOL * scale
+    ok = low > POSITIVITY_RTOL * top
+    # a scale is >= 0, so top > 1e-12 * scale already asks for top > 0
+    ok &= top > (0.0 if scale is None else POSITIVITY_RTOL * scale)
     return ok
 
 
@@ -120,7 +120,7 @@ def _reverse_product(kind: str, seqs: np.ndarray, scales, factor_name: str) -> B
     absolute positivity scales.
     """
     top, low = seqs.max(axis=-1), seqs.min(axis=-1)
-    ok = _positive_extremes(top, low, np.array(scales)).all(axis=0)
+    ok = _positive_extremes(top, low, scales).all(axis=0)
     rf = ReverseFactor(max_a=top[0], min_a=low[0], max_b=top[1], min_b=low[1])
     omega = rf.pow_factor(ok)
     s = inner(*seqs)

@@ -33,7 +33,6 @@ bytes agree as far as their LAPACK builds agree.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,6 +169,9 @@ def _verify_dimension(d: int, n: int, seed: int, acc: _Accumulator) -> None:
     )
 
     def digest(idx: int) -> str:
+        # imported here: digests are made only for violations, and hashlib loads OpenSSL
+        import hashlib
+
         h = hashlib.sha256()
         h.update(np.int64([d, idx]).tobytes())
         state_bytes = psi[idx].tobytes() if pure[idx] else rho_mixed[idx].tobytes()

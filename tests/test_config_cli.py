@@ -298,6 +298,59 @@ class TestParserReuse:
         assert all(n == 0 for n in per_call.values()), per_call
 
 
+PARSE_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["bogus"],
+    ["optimize"],
+    ["optimize", "-h"],
+    ["optimize", "--config", "x.cfg"],
+    ["optimize", "--conf", "x.cfg", "--obj", "sum", "--form", "csv"],
+    ["optimize", "--config", "x.cfg", "--objective", "flat"],
+    ["optimize", "--config", "x.cfg", "--restarts", "8", "--format", "json"],
+    ["optimize", "--config", "x.cfg", "--restarts", "eight"],
+    ["optimize", "--config", "x.cfg", "extra"],
+    ["optimize", "--config", "x.cfg", "--", "extra"],
+    ["optimize", "--config", "x.cfg", "--seed", "1", "-x"],
+    ["optimize", "--config"],
+    ["compute", "--config", "x.cfg", "--bounds", "rs_product,mp_sum_1", "--out", "o.json"],
+    ["compute", "--config=x.cfg", "--format=csv"],
+    ["sweep"],
+    ["sweep", "--preset", "fig9"],
+    ["sweep", "--preset", "fig2", "--theta-count", "3", "--theta-start", "-1"],
+    ["sweep", "--theta-count", "x"],
+    ["verify", "--n", "10", "--dims", "2,3", "--seed", "4"],
+    ["verify", "--help"],
+    ["-h", "optimize"],
+    ["optimize", "compute"],
+]
+
+
+class TestParseArgs:
+    """``main`` calls a sub-command's parser directly: same namespace, help and errors."""
+
+    @staticmethod
+    def _outcome(parse, argv, capsys):
+        try:
+            args = vars(parse(list(argv)))
+        except SystemExit as exc:
+            args = exc.code
+        out = capsys.readouterr()
+        return args, out.out, out.err
+
+    @pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "no-args")
+    def test_same_outcome_as_parse_args(self, argv, capsys):
+        fast = self._outcome(lambda a: cli._parse_args(cli.build_parser(), a), argv, capsys)
+        plain = self._outcome(cli.build_parser().parse_args, argv, capsys)
+        assert fast == plain
+
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["varbounds", "verify", "--n", "3"])
+        assert vars(cli._parse_args(cli.build_parser(), None)) == vars(cli.build_parser().parse_args())
+
+
 REMOVED_FLAGS = {
     "compute": ["--seed", "--restarts", "--max-evals", "--step-init", "--step-min", "--tol"],
     "sweep": ["--seed", "--restarts", "--max-evals", "--step-init", "--step-min", "--tol"],

@@ -237,6 +237,54 @@ class TestObservable:
         assert calls == []
 
 
+class TestRequireHermitian:
+    """Acceptance and rejection of one matrix and of a stack, with the messages callers see."""
+
+    @staticmethod
+    def _asymmetric(rng, d, rel):
+        m = random_hermitian(rng, d)
+        m[0, 1] += rel * np.abs(m).max()  # |M - M^dag| = rel * the largest modulus, to round-off
+        return m
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_entries(self, rng, bad, where):
+        m = random_hermitian(rng, 3)
+        m[where] = bad
+        with pytest.raises(NotHermitian, match="^matrix has non-finite entries$"):
+            require_hermitian(m)
+        stack = np.array([random_hermitian(rng, 3), m])
+        with pytest.raises(NotHermitian, match="^matrix has non-finite entries$"):
+            require_hermitian(stack)
+
+    def test_relative_asymmetry_threshold(self, rng):
+        for d in (2, 3, 4, 6):
+            near = self._asymmetric(rng, d, 1e-13)
+            out = require_hermitian(near)
+            assert out.tobytes() == (0.5 * (near + near.conj().T)).tobytes()
+            far = self._asymmetric(rng, d, 1e-11)
+            with pytest.raises(NotHermitian, match=r"^max \|M - M\^dag\| = \d\.\d{3}e-1\d exceeds tolerance$"):
+                require_hermitian(far)
+            stack = np.array([near, random_hermitian(rng, d)])
+            assert require_hermitian(stack).tobytes() == (
+                0.5 * (stack + stack.conj().swapaxes(-1, -2))).tobytes()
+            with pytest.raises(NotHermitian, match="exceeds tolerance"):
+                require_hermitian(np.array([near, far]))
+
+    def test_tolerance_scales_with_each_matrix(self, rng):
+        # a tiny matrix with a 1e-11 relative asymmetry is rejected beside a large one
+        large = 1e6 * random_hermitian(rng, 3)
+        tiny = self._asymmetric(rng, 3, 1e-11) * 1e-6
+        with pytest.raises(NotHermitian, match="exceeds tolerance"):
+            require_hermitian(np.array([large, tiny]))
+        assert require_hermitian(np.zeros((2, 3, 3))).tobytes() == np.zeros((2, 3, 3), complex).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 2), (4, 2, 3)])
+    def test_non_square_shapes(self, shape):
+        with pytest.raises(NotHermitian, match=r"^expected a square matrix, got shape "):
+            require_hermitian(np.zeros(shape))
+
+
 class TestSpin1:
     def test_su2_commutator(self):
         lx, ly, lz = spin1_operators()

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import varbounds
 
 from varbounds.linalg import Observable, OrthonormalBasis, QuantumState
 from varbounds.lower_bounds import (
@@ -127,3 +134,14 @@ def test_json_shape():
         "upper_dw_variance_sum",
     }
     assert d["metadata"]["rng"] == "pcg64"
+
+
+def test_importing_the_cli_does_not_load_openssl():
+    # hashlib (and with it OpenSSL, about 3.6 MiB of resident memory) is
+    # imported only when a violation is digested
+    src = str(Path(varbounds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, numpy, varbounds.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
