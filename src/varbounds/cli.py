@@ -7,7 +7,8 @@ directory for bare ``--out`` file names.
 ``main(argv)`` can also be called in-process, for example from a notebook
 or a test, and returns the exit code.  It parses with one parser, built on
 the first call and kept for the life of the process; ``build_parser()``
-returns a fresh one.
+returns a fresh one.  A sub-command's arguments go straight to that
+sub-command's parser (:func:`_parse_args`).
 
 Every basis optimum is in closed form, so no sub-command takes an optimizer
 setting, and ``--seed`` belongs to ``verify`` alone.  The one exception is
