@@ -1,13 +1,15 @@
-"""Regenerate the golden outputs of ``compute`` and ``optimize`` under tests/golden/.
+"""Regenerate the golden outputs of ``compute``, ``optimize`` and ``sweep`` under tests/golden/.
 
 Usage, from the root of a checkout::
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Every config in ``configs/`` is run through ``compute`` (JSON and CSV) and,
-for pure states, through ``optimize`` with each objective (JSON and CSV).
-Mixed states are run through ``optimize --objective product`` too, which
-must fail with exit code 2.  Each output goes to ``out/`` and
+Every instance config in ``configs/`` is run through ``compute`` (JSON and
+CSV) and, for pure states, through ``optimize`` with each objective (JSON
+and CSV).  Mixed states are run through ``optimize --objective product``
+too, which must fail with exit code 2.  Every sweep config
+(``*.sweep.cfg``) and each figure preset on its default 181-point grid is
+run through ``sweep`` (JSON and CSV).  Each output goes to ``out/`` and
 ``MANIFEST.json`` lists the cases with their argv, exit code and stderr, plus
 the commit the outputs were made at.  ``tests/test_golden.py`` compares the
 program against these files.  Regenerate only when an output is meant to
@@ -28,13 +30,21 @@ CONFIGS = HERE / "configs"
 OUT = HERE / "out"
 OBJECTIVES = ("product", "sum", "reverse_product")
 FORMATS = ("json", "csv")
+PRESETS = ("fig1", "fig2", "fig3", "fig4")
 
 
 def cases() -> dict[str, list[str]]:
     """Output file name -> CLI argv, with config paths relative to this directory."""
     out = {}
+    for preset in PRESETS:
+        for fmt in FORMATS:
+            out[f"{preset}.sweep.{fmt}"] = ["sweep", "--preset", preset, "--format", fmt]
     for cfg in sorted(CONFIGS.glob("*.cfg")):
         rel = f"configs/{cfg.name}"
+        if cfg.name.endswith(".sweep.cfg"):
+            for fmt in FORMATS:
+                out[f"{cfg.stem}.{fmt}"] = ["sweep", "--config", rel, "--format", fmt]
+            continue
         mixed = "rho" in cfg.read_text()
         for fmt in FORMATS:
             out[f"{cfg.stem}.compute.{fmt}"] = ["compute", "--config", rel, "--format", fmt]
