@@ -156,7 +156,7 @@ def load_state(cfg: dict) -> QuantumState:
         theta = _get_float(sec, "theta", math.nan)
         if math.isnan(theta):
             raise ConfigError("state family needs a theta value")
-        return build(theta)
+        return QuantumState.pure(build([theta])[0])
     raise ConfigError("[state] needs one of: vector, rho, bloch, family")
 
 

@@ -116,16 +116,30 @@ class Observable:
         return f"Observable(dim={self.dim}, eigenvalues={np.round(self.eigenvalues, 6)})"
 
 
+def row_dots(x: np.ndarray) -> np.ndarray:
+    """x . x over the last axis of a real array: BLAS ddot per row, as ``x.dot(x)``."""
+    return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
+
+
+def unit_rows(vectors) -> np.ndarray:
+    """Each row of an (n, d) stack of state vectors over its norm, which must be 1 within 1e-12.
+
+    ||v||^2 is the sum ``np.linalg.norm`` takes, so a row has the bits of ``v / np.linalg.norm(v)``."""
+    v = np.ascontiguousarray(vectors, dtype=np.complex128)
+    dots = row_dots(v.view(np.float64).reshape(*v.shape, 2).transpose(2, 0, 1))  # real, imaginary parts
+    nrm = np.sqrt(dots[0] + dots[1])
+    for i, x in enumerate(nrm.tolist()):
+        if abs(x - 1.0) > 1e-12:
+            raise VarboundsError(f"pure state norm {nrm[i]!r} is not 1 within 1e-12")
+    return v / nrm[:, None]
+
+
 class QuantumState:
     """A pure state vector or a mixed-state density matrix."""
 
     def __init__(self, kind: str, vector=None, rho=None):
         if kind == "pure":
-            v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-            nrm = np.linalg.norm(v)
-            if abs(nrm - 1.0) > 1e-12:
-                raise VarboundsError(f"pure state norm {nrm!r} is not 1 within 1e-12")
-            self.vector = _frozen(v / nrm, fresh=True)
+            self.vector = _frozen(unit_rows(np.reshape(vector, (1, -1)))[0], fresh=True)
             self.rho = None
         elif kind == "mixed":
             r = require_hermitian(np.asarray(rho, dtype=np.complex128))
@@ -211,29 +225,36 @@ def pauli_operators() -> tuple[Observable, Observable, Observable]:
     return Observable(sx), Observable(sy), Observable(sz)
 
 
+def pure_bloch_vectors(r: np.ndarray, nrm: np.ndarray) -> np.ndarray:
+    """Unnormalized cos(t/2)|0> + e^(i phi) sin(t/2)|1> per unit Bloch vector r / nrm, r of shape (n, 3).
+
+    Rephased as :func:`eigh` does.  Angles and moduli are per-row Python floats (scalar ``abs``, as
+    ``np.abs`` of a complex rounds differently), so a row has the same bits in any stack."""
+    angles = []
+    for x, y, z in (r / nrm[:, None]).tolist():
+        half = math.acos(min(1.0, max(-1.0, z))) / 2.0
+        angles.append((math.cos(half), math.sin(half), math.atan2(y, x)))
+    cos_half, sin_half, phi = np.array(angles).reshape(-1, 3).T
+    vec = np.stack([cos_half.astype(np.complex128), sin_half * np.exp(1j * phi)], axis=1)
+    anchor = vec[np.arange(len(vec)), np.argmax(np.abs(vec), axis=1)]
+    modulus = np.array([abs(z) for z in anchor.tolist()])
+    return vec * anchor.conj()[:, None] / modulus[:, None]
+
+
 def qubit_state_from_bloch(r) -> QuantumState:
     """Qubit state rho = (I + r . sigma) / 2 from a Bloch vector.
 
     Returns a pure state (as a vector) when ||r|| >= 1 - 1e-10, otherwise a
     mixed state.  Raises :class:`BlochNormExceeded` for ||r|| > 1 + 1e-12.
     """
-    r = np.asarray(r, dtype=float).reshape(-1)
-    if r.shape != (3,):
+    r = np.asarray(r, dtype=float).reshape(1, -1)
+    if r.shape != (1, 3):
         raise VarboundsError("Bloch vector must have three components")
-    nrm = float(np.linalg.norm(r))
-    if nrm > 1.0 + 1e-12:
-        raise BlochNormExceeded(f"||r|| = {nrm!r} exceeds 1")
-    if nrm >= 1.0 - 1e-10:
-        x, y, z = r / nrm
-        theta = math.acos(min(1.0, max(-1.0, z)))
-        half = theta / 2.0
-        phi = math.atan2(y, x)
-        vec = np.array([math.cos(half), math.sin(half) * np.exp(1j * phi)])
-        # same phase convention as eigh: largest component real positive
-        anchor = int(np.argmax(np.abs(vec)))
-        ph = vec[anchor]
-        vec = vec * np.conj(ph) / abs(ph)
-        return QuantumState.pure(vec)
-    x, y, z = r
+    nrm = np.sqrt(row_dots(r))
+    if nrm[0] > 1.0 + 1e-12:
+        raise BlochNormExceeded(f"||r|| = {float(nrm[0])!r} exceeds 1")
+    if nrm[0] >= 1.0 - 1e-10:
+        return QuantumState.pure(pure_bloch_vectors(r, nrm)[0])
+    x, y, z = r[0]
     rho = 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
     return QuantumState.mixed(rho)

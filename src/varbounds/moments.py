@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, MixedStateUnsupported, NumericalConsistencyError, VarboundsError
-from .linalg import Observable, OrthonormalBasis, QuantumState, check_dims
+from .linalg import Observable, OrthonormalBasis, QuantumState, check_dims, unit_rows
 
 __all__ = [
     "MomentSet",
@@ -257,8 +257,9 @@ class Instance:
     """A stack of states and one pair of observables, with the moments every bound reads.
 
     ``states`` is one :class:`QuantumState` (a one-row instance, which the
-    scalar API builds) or a sequence of states of one kind; every moment
-    is an array over the rows.  Building it checks the dimensions once and
+    scalar API builds), a sequence of states of one kind, or a sweep's
+    (n, d) array of pure vectors, normalized as :meth:`QuantumState.pure`
+    does; every moment is an array over the rows.  Building it checks the dimensions once and
     computes A psi, B psi (pure states), <A> and <B>, with the expressions
     of :func:`expectation`; mixed states use the trace formulas, row by
     row.  ``moments`` (<AB>, both variances and the covariance), the
@@ -271,19 +272,23 @@ class Instance:
     def __init__(self, states, a: Observable, b: Observable):
         if isinstance(states, QuantumState):
             states = (states,)
-        self.dim = check_dims(states[0], a, b)
-        self.is_pure = states[0].is_pure
-        for s in states:
-            if s.is_pure != self.is_pure:
-                raise VarboundsError("an instance stacks states of one kind")
-            if s.dim != self.dim:
-                raise DimensionMismatch(f"state dim {s.dim} vs observable dim {self.dim}")
+        stack = isinstance(states, np.ndarray)  # pure state vectors, one per row, normalized here
+        if stack and states.ndim != 2:
+            raise VarboundsError(f"a stack of state vectors has shape (rows, dim), got {states.shape}")
+        self.is_pure = stack or states[0].is_pure
+        if not stack and any(s.is_pure != self.is_pure for s in states):
+            raise VarboundsError("an instance stacks states of one kind")
+        for d in states.shape[1:] if stack else [s.dim for s in states]:
+            for obs in (a, b):
+                if obs.dim != d:
+                    raise DimensionMismatch(f"state dim {d} vs observable dim {obs.dim}")
+        self.dim = a.dim
         self.a = a
         self.b = b
         # quantities of A and B are computed together, stacked on a first axis of 2
         self._pair = np.array([a.matrix, b.matrix])
         if self.is_pure:
-            psi = self.vectors = np.array([s.vector for s in states])
+            psi = self.vectors = unit_rows(states) if stack else np.array([s.vector for s in states])
             self.rho = None
             self._pair_psi = matvec(self._pair[:, None], psi)  # A psi and B psi
             self._means = _real(inner(psi, self._pair_psi))

@@ -29,25 +29,13 @@ def format_float(x: float) -> str:
     return format(float(x), ".16e")
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format_float(value)
-
-
 def render_csv(obj) -> str:
     """Render a SweepTable or VerificationReport as CSV text."""
     buf = io.StringIO()
-    if hasattr(obj, "columns"):  # sweep table
+    if hasattr(obj, "columns"):  # sweep table: None, status strings, and floats as format_float writes them
         buf.write(",".join(obj.columns) + "\n")
         for row in obj.rows:
-            buf.write(",".join(_cell(v) for v in row) + "\n")
+            buf.write(",".join(["" if v is None else v if type(v) is str else "%.16e" % v for v in row]) + "\n")
     else:  # verification report: one row per check
         buf.write("check,applicable,violations,max_slack,undefined_fraction\n")
         for check in sorted(obj.max_slack):

@@ -14,12 +14,12 @@ Presets:
   fidelity product bound;
 * ``fig4`` - same family, Dunkl-Williams variance-sum bound.
 
-A sweep builds the family's state at each theta, stacks them into one
-:class:`~varbounds.moments.Instance` and calls each requested bound's
-formula once on it, so every bound of the sweep reads one set of moments,
-deviation vectors and fidelity sequences, computed for all rows at once;
-:func:`compute_instance` does the same for a one-row instance.  Each row
-holds the bits that the bound gives for that state alone.  Every bound a
+A sweep is one stack: the family's builder maps the theta grid to (n, d)
+state vectors in one pass, one :class:`~varbounds.moments.Instance`
+normalizes them and serves each requested bound's formula, called once, and
+``render_csv`` writes each row with one join.  :func:`compute_instance`, and
+a config file's ``[state] family`` or ``bloch``, are one-row calls of the
+same code, so each row has the bits of its state alone.  Every bound a
 sweep offers is in closed form, so no sweep runs a search.
 ``optimized_product`` and ``optimized_sum`` are the basis bounds at the
 witness basis of :func:`varbounds.optimize.optimize_product_bound` and
@@ -40,7 +40,8 @@ from .linalg import (
     Observable,
     QuantumState,
     pauli_operators,
-    qubit_state_from_bloch,
+    pure_bloch_vectors,
+    row_dots,
     spin1_operators,
 )
 from .lower_bounds import (
@@ -73,16 +74,14 @@ __all__ = [
 SIGMA2_NOTE = "the qubit family's sigma_2 component is read as sigma_y"
 
 
-def _spin1_family(theta: float) -> QuantumState:
-    return QuantumState.pure([math.cos(theta), -math.sin(theta), 0.0])
+def _spin1_family(thetas: list) -> np.ndarray:
+    return np.array([(math.cos(t), -math.sin(t), 0.0) for t in thetas], dtype=np.complex128)
 
 
-def _bloch_family(theta: float) -> QuantumState:
-    return qubit_state_from_bloch([
-        math.cos(theta / 2.0),
-        math.sqrt(3.0) / 2.0 * math.sin(theta / 2.0),
-        0.5 * math.sin(theta / 2.0),
-    ])
+def _bloch_family(thetas: list) -> np.ndarray:
+    r = np.array([(math.cos(t / 2.0), math.sqrt(3.0) / 2.0 * math.sin(t / 2.0), 0.5 * math.sin(t / 2.0))
+                  for t in thetas])
+    return pure_bloch_vectors(r, np.sqrt(row_dots(r)))
 
 
 STATE_FAMILIES = {
@@ -92,7 +91,7 @@ STATE_FAMILIES = {
 
 
 def state_family(name: str):
-    """Return (dimension, builder) of a registered one-parameter family."""
+    """(dimension, builder) of a family; the builder maps a theta list to unnormalized (n, d) vectors."""
     try:
         return STATE_FAMILIES[name]
     except KeyError:
@@ -234,7 +233,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         raise ConfigError("observable dimension does not match the state family")
 
     thetas = np.linspace(spec.theta_start, spec.theta_stop, spec.theta_count).tolist()
-    inst = Instance([build(theta) for theta in thetas], obs_a, obs_b)
+    inst = Instance(build(thetas), obs_a, obs_b)
     ms = inst.moments
     dev_sum = ms.std_a + ms.std_b
 

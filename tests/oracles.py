@@ -309,3 +309,19 @@ def reference_exact(state, a, b):
     var_a, var_b = variance(state, a), variance(state, b)
     return {"product": var_a * var_b, "sum": var_a + var_b,
             "dev_sum": float(np.sqrt(var_a)) + float(np.sqrt(var_b))}
+
+
+def pure_bloch_vector_reference(r) -> np.ndarray:
+    """The normalized state vector of a pure qubit with Bloch vector r, one state at a time.
+
+    Numpy scalars and ``np.linalg.norm`` throughout, with the rephasing
+    modulus taken by Python's ``abs``: the bits a sweep's Bloch family has
+    always had.
+    """
+    r = np.asarray(r, dtype=float)
+    x, y, z = r / float(np.linalg.norm(r))
+    half = math.acos(min(1.0, max(-1.0, z))) / 2.0
+    vec = np.array([math.cos(half), math.sin(half) * np.exp(1j * math.atan2(y, x))])
+    ph = vec[int(np.argmax(np.abs(vec)))]
+    vec = vec * np.conj(ph) / abs(ph)
+    return vec / np.linalg.norm(vec)

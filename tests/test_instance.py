@@ -107,7 +107,7 @@ def test_sweep_rows_equal_each_bound_on_its_own(preset):
     undefined = 0
     for row in table.rows:
         cells = dict(zip(table.columns, row))
-        state = build(cells["theta"])
+        state = QuantumState.pure(build([cells["theta"]])[0])  # the one-row path of the family
         exact = reference_exact(state, a, b)
         assert _bits(cells["exact_product"]) == _bits(exact["product"])
         assert _bits(cells["exact_sum"]) == _bits(exact["sum"])
@@ -182,15 +182,14 @@ STANDALONE = ("moments", "expectation", "variance", "covariance", "commutator_ex
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of Instance builds and of calls to the standalone moment functions."""
-    counts = {"instances": 0, "standalone": 0}
-    init = Instance.__init__
+    """Counts of Instance and QuantumState builds and of calls to the standalone moment functions."""
+    counts = {"instances": 0, "states": 0, "standalone": 0}
+    for cls, key in ((Instance, "instances"), (QuantumState, "states")):
+        def counting_init(self, *args, _init=cls.__init__, _key=key, **kwargs):
+            counts[_key] += 1
+            _init(self, *args, **kwargs)
 
-    def counting_init(self, *args):
-        counts["instances"] += 1
-        init(self, *args)
-
-    monkeypatch.setattr(Instance, "__init__", counting_init)
+        monkeypatch.setattr(cls, "__init__", counting_init)
     for mod in [m for n, m in list(sys.modules.items()) if n.startswith("varbounds")]:
         for name in STANDALONE:
             func = getattr(mod, name, None)
@@ -209,15 +208,16 @@ def test_compute_instance_builds_one_instance(work, label):
     for _, state, a, b in calls:
         out = compute_instance(state, a, b)
         assert set(out["bounds"]) == set(BOUND_IDS)
-    assert work == {"instances": len(calls), "standalone": 0}
+    assert work == {"instances": len(calls), "states": 0, "standalone": 0}
 
 
 @pytest.mark.parametrize("preset", sorted(_PRESETS))
 def test_sweep_builds_one_instance_per_row(work, preset):
-    # one stacked instance per sweep, whatever the grid, and no standalone moment calls
+    # one stacked instance per sweep, whatever the grid, built through __init__ from the
+    # family's vector stack: no QuantumState per theta and no standalone moment calls
     for count in (2, 7):
         run_sweep(SweepSpec(preset=preset, theta_count=count, bounds=BOUND_IDS))
-    assert work == {"instances": 2, "standalone": 0}
+    assert work == {"instances": 2, "states": 0, "standalone": 0}
 
 
 def test_instance_reads_are_kept():
