@@ -139,7 +139,8 @@ class QuantumState:
 
     def __init__(self, kind: str, vector=None, rho=None):
         if kind == "pure":
-            self.vector = _frozen(unit_rows(np.reshape(vector, (1, -1)))[0], fresh=True)
+            v = np.asarray(vector, dtype=np.complex128).reshape(1, -1)
+            self.vector = _frozen(unit_rows(v)[0], fresh=True)
             self.rho = None
         elif kind == "mixed":
             r = require_hermitian(np.asarray(rho, dtype=np.complex128))

@@ -259,13 +259,13 @@ class Instance:
     ``states`` is one :class:`QuantumState` (a one-row instance, which the
     scalar API builds), a sequence of states of one kind, or a sweep's
     (n, d) array of pure vectors, normalized as :meth:`QuantumState.pure`
-    does; every moment is an array over the rows.  Building it checks the dimensions once and
-    computes A psi, B psi (pure states), <A> and <B>, with the expressions
-    of :func:`expectation`; mixed states use the trace formulas, row by
-    row.  ``moments`` (<AB>, both variances and the covariance), the
-    deviation vectors, the fidelity-weighted sequences and the two
-    deviation scales are computed on first read and kept, so a bound that
-    reads only the means and deviations (the basis bounds, the fidelity
+    does; every moment is an array over the rows.  Building it checks the
+    dimensions once and computes A psi, B psi (pure states), <A> and <B>,
+    with the expressions of :func:`expectation`; mixed states use the trace
+    formulas, row by row.  ``moments`` (<AB>, both variances and the
+    covariance), the deviation vectors, the fidelity-weighted sequences and
+    the two deviation scales are computed on first read and kept, so a bound
+    that reads only the means and deviations (the basis bounds, the fidelity
     sequences, every optimum) computes no variance.
     """
 

@@ -52,8 +52,8 @@ def test_a_family_row_has_the_bits_of_its_one_row_stack(family, thetas):
 @given(thetas=THETAS)
 @example(thetas=SPECIAL)
 def test_the_bloch_family_has_the_bits_of_the_scalar_construction(thetas):
-    # the rephasing modulus is scalar abs; np.abs of a complex array moves about
-    # one row in seven by an ulp, most of them where the anchor is the second component
+    # the rephasing modulus is scalar abs: with np.abs of the complex array, 680 of
+    # 5000 random theta in [-7, 7] move by up to 3 ulp, all with the anchor on |1>
     _, build = STATE_FAMILIES["qubit_bloch_fig3"]
     stack = unit_rows(build(thetas))
     for theta, row in zip(thetas, stack):
