@@ -124,14 +124,16 @@ def row_dots(x: np.ndarray) -> np.ndarray:
 def unit_rows(vectors) -> np.ndarray:
     """Each row of an (n, d) stack of state vectors over its norm, which must be 1 within 1e-12.
 
-    ||v||^2 is the sum ``np.linalg.norm`` takes, so a row has the bits of ``v / np.linalg.norm(v)``."""
+    ||v||^2 is the BLAS ddot of the real parts plus that of the imaginary parts, the sum
+    ``np.linalg.norm`` takes, so a row has the bits of ``v / np.linalg.norm(v)``."""
     v = np.ascontiguousarray(vectors, dtype=np.complex128)
-    dots = row_dots(v.view(np.float64).reshape(*v.shape, 2).transpose(2, 0, 1))  # real, imaginary parts
-    nrm = np.sqrt(dots[0] + dots[1])
-    for i, x in enumerate(nrm.tolist()):
+    parts = v.view(np.float64).reshape(*v.shape, 2).transpose(2, 0, 1)[..., None]  # real, imaginary
+    dots = np.matmul(parts.swapaxes(-1, -2), parts)  # ddot per row and part, shape (2, n, 1, 1)
+    nrm = np.sqrt(dots[0] + dots[1])[:, 0]
+    for i, (x,) in enumerate(nrm.tolist()):
         if abs(x - 1.0) > 1e-12:
-            raise VarboundsError(f"pure state norm {nrm[i]!r} is not 1 within 1e-12")
-    return v / nrm[:, None]
+            raise VarboundsError(f"pure state norm {nrm[i, 0]!r} is not 1 within 1e-12")
+    return v / nrm
 
 
 class QuantumState:

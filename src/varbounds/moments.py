@@ -276,12 +276,13 @@ class Instance:
         if stack and states.ndim != 2:
             raise VarboundsError(f"a stack of state vectors has shape (rows, dim), got {states.shape}")
         self.is_pure = stack or states[0].is_pure
-        if not stack and any(s.is_pure != self.is_pure for s in states):
-            raise VarboundsError("an instance stacks states of one kind")
         for d in states.shape[1:] if stack else [s.dim for s in states]:
             for obs in (a, b):
                 if obs.dim != d:
                     raise DimensionMismatch(f"state dim {d} vs observable dim {obs.dim}")
+        for s in () if stack else states:
+            if s.is_pure != self.is_pure:
+                raise VarboundsError("an instance stacks states of one kind")
         self.dim = a.dim
         self.a = a
         self.b = b
