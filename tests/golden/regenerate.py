@@ -1,4 +1,4 @@
-"""Regenerate the golden outputs of ``compute``, ``optimize`` and ``sweep`` under tests/golden/.
+"""Regenerate the golden outputs of ``compute``, ``optimize``, ``sweep`` and ``verify`` under tests/golden/.
 
 Usage, from the root of a checkout::
 
@@ -9,9 +9,10 @@ CSV) and, for pure states, through ``optimize`` with each objective (JSON
 and CSV).  Mixed states are run through ``optimize --objective product``
 too, which must fail with exit code 2.  Every sweep config
 (``*.sweep.cfg``) and each figure preset on its default 181-point grid is
-run through ``sweep`` (JSON and CSV).  Each output goes to ``out/`` and
+run through ``sweep`` (JSON and CSV), and ``verify`` runs on its default
+ensemble at two seeds (JSON).  Each output goes to ``out/`` and
 ``MANIFEST.json`` lists the cases with their argv, exit code and stderr, plus
-the commit the outputs were made at.  ``tests/test_golden.py`` compares the
+the commit and the numpy version the outputs were made with.  ``tests/test_golden.py`` compares the
 program against these files.  Regenerate only when an output is meant to
 change, and say so in CHANGES.md.
 """
@@ -31,6 +32,11 @@ OUT = HERE / "out"
 OBJECTIVES = ("product", "sum", "reverse_product")
 FORMATS = ("json", "csv")
 PRESETS = ("fig1", "fig2", "fig3", "fig4")
+VERIFY = {
+    "verify_seed7.verify.json": ["verify", "--seed", "7", "--format", "json"],
+    "verify_seed0.verify.json": ["verify", "--n", "1000", "--dims", "2,3,4,6", "--seed", "0",
+                                 "--format", "json"],
+}
 
 
 def cases() -> dict[str, list[str]]:
@@ -53,6 +59,7 @@ def cases() -> dict[str, list[str]]:
                     continue
                 out[f"{cfg.stem}.optimize_{objective}.{fmt}"] = [
                     "optimize", "--config", rel, "--objective", objective, "--format", fmt]
+    out.update(VERIFY)
     return out
 
 
@@ -68,12 +75,15 @@ def run(argv: list[str]) -> tuple[int, str, str]:
 
 
 def main() -> int:
+    import numpy as np
+
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=HERE, capture_output=True,
                             text=True, check=True).stdout.strip()
     dirty = subprocess.run(["git", "status", "--porcelain", "--", "../../src"], cwd=HERE,
                            capture_output=True, text=True, check=True).stdout.strip()
     OUT.mkdir(exist_ok=True)
-    manifest = {"commit": commit + ("+modified src" if dirty else ""), "cases": {}}
+    manifest = {"commit": commit + ("+modified src" if dirty else ""), "numpy": np.__version__,
+                "cases": {}}
     for name, argv in cases().items():
         code, stdout, stderr = run(argv)
         (OUT / name).write_text(stdout, encoding="utf-8")

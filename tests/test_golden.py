@@ -1,13 +1,13 @@
-"""``compute``, ``optimize`` and ``sweep`` against the golden outputs in tests/golden/.
+"""``compute``, ``optimize``, ``sweep`` and ``verify`` against the golden outputs in tests/golden/.
 
-The outputs were made by ``tests/golden/regenerate.py`` at the commit named
-in ``MANIFEST.json``.  Keys, statuses, exit codes, error messages and
-undefined cells must match exactly.  Floats must agree within ``ULPS``
-units in the last place of max(|expected|, 1): the witness bases come from
-a LAPACK QR and the moments from BLAS, whose last bits may differ between
-builds.  On the host that made the files every float is identical.  A
-sweep's metadata names the numpy version it ran with; that one entry is
-not compared.
+The outputs were made by ``tests/golden/regenerate.py`` at the commit and
+with the numpy version named in ``MANIFEST.json``.  Keys, statuses, exit
+codes, error messages and undefined cells must match exactly.  With that
+numpy version every float must have the same bits.  With another one,
+floats must agree within ``ULPS`` units in the last place of
+max(|expected|, 1): the witness bases come from a LAPACK QR and the moments
+from BLAS, whose last bits may differ between builds.  A report's metadata
+names the numpy version it ran with; that one entry is not compared.
 """
 
 import contextlib
@@ -16,6 +16,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from varbounds import cli
@@ -23,6 +24,7 @@ from varbounds import cli
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "MANIFEST.json").read_text())
 ULPS = 16
+EXACT = MANIFEST.get("numpy") == np.__version__  # bit for bit on the numpy that made the files
 
 
 def _run(argv):
@@ -36,6 +38,8 @@ def _run(argv):
 def _close(got: float, want: float) -> bool:
     if math.isinf(want) or math.isnan(want):
         return str(got) == str(want)
+    if EXACT:
+        return got.hex() == want.hex()
     return abs(got - want) <= ULPS * math.ulp(max(abs(want), 1.0))
 
 
