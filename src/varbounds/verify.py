@@ -25,6 +25,14 @@ against the scalar API's.  Nothing here depends on eigenvector phases:
 only eigenvalues and the fidelities <v|rho|v> are used, and GUE spectra
 are non-degenerate with probability 1.
 
+The dimensions of one call run concurrently, on as many threads as there
+are dimensions and usable CPUs (one thread on a one-CPU host); numpy
+releases the interpreter lock in the LAPACK, BLAS, einsum and generator
+calls that carry the cost.  Each dimension draws from its own generator and
+fills its own accumulator, and the accumulators are merged in the order of
+``dims``, so the report does not depend on the thread count or on
+scheduling.  There is no setting for it.
+
 Any violation means an implementation bug: the inequalities are theorems.
 The report is deterministic under a fixed seed and carries no timestamps:
 two runs on one machine give identical bytes, and across machines the
@@ -33,6 +41,8 @@ bytes agree as far as their LAPACK builds agree.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,35 +148,60 @@ class _Accumulator:
         count = int(mask.sum())
         self.applicable[check] += count
         if count:
-            worst = float(slack[mask].max())
-            prev = self.max_slack[check]
-            self.max_slack[check] = worst if prev is None else max(prev, worst)
+            self._raise_max(check, float(slack[mask].max()))
             for idx in np.nonzero(mask & (slack > tol))[0]:
                 self.violations.append(
                     Violation(check=check, digest=digest_fn(int(idx)), slack=float(slack[idx]))
                 )
 
+    def _raise_max(self, check, worst):
+        prev = self.max_slack[check]
+        self.max_slack[check] = worst if prev is None else max(prev, worst)
+
     def count_undefined(self, check, defined_mask, applicable_mask):
         self.undefined_base[check] += int(np.sum(applicable_mask))
         self.undefined[check] += int(np.sum(applicable_mask & ~defined_mask))
+
+    def merge(self, other: _Accumulator) -> None:
+        """Append ``other``'s records, as if they had been recorded here after ours."""
+        self.violations.extend(other.violations)
+        for check, worst in other.max_slack.items():
+            if worst is not None:
+                self._raise_max(check, worst)
+        for check, count in other.applicable.items():
+            self.applicable[check] += count
+        for check in UNDEFINED_TRACKED:
+            self.undefined[check] += other.undefined[check]
+            self.undefined_base[check] += other.undefined_base[check]
 
 
 def _tr_product(rho: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nji->n", rho, m)
 
 
+def _mp_sum_1(a, b, psi, z_imag):
+    """The larger of the two Maccone-Pati sums with psi-perp at its analytic supremum."""
+    mp1 = np.full(len(psi), -np.inf)
+    for sign in (1.0, -1.0):
+        m = sign * 1j * b
+        w = np.einsum("nij,nj->ni", np.subtract(a, m, out=m), psi)  # (A - sign i B) psi
+        w_perp = w - psi * np.einsum("ni,ni->n", psi.conj(), w)[:, None]
+        amp = np.einsum("ni,ni->n", w_perp.conj(), w_perp).real
+        term1 = -2.0 * sign * z_imag
+        mp1 = np.maximum(mp1, term1 + amp)
+    return mp1
+
+
 def _verify_dimension(d: int, n: int, seed: int, acc: _Accumulator) -> None:
     rng = np.random.default_rng([seed, d])
     psi = haar_state(rng, d, n)
-    rho_mixed = wishart_density_matrix(rng, d, n)
+    rho = wishart_density_matrix(rng, d, n)  # the mixed rows keep their Wishart draws
     a = gue_hermitian(rng, d, n)
     b = gue_hermitian(rng, d, n)
     basis = haar_unitary(rng, d, n)
 
     pure = np.arange(n) % 2 == 0
-    rho = np.where(
-        pure[:, None, None], np.einsum("ni,nj->nij", psi, psi.conj()), rho_mixed
-    )
+    rho[pure] = np.einsum("ni,nj->nij", psi[pure], psi[pure].conj())
 
     def digest(idx: int) -> str:
         # imported here: digests are made only for violations, and hashlib loads OpenSSL
@@ -174,7 +209,7 @@ def _verify_dimension(d: int, n: int, seed: int, acc: _Accumulator) -> None:
 
         h = hashlib.sha256()
         h.update(np.int64([d, idx]).tobytes())
-        state_bytes = psi[idx].tobytes() if pure[idx] else rho_mixed[idx].tobytes()
+        state_bytes = psi[idx].tobytes() if pure[idx] else rho[idx].tobytes()
         h.update(state_bytes)
         h.update(np.ascontiguousarray(a[idx]).tobytes())
         h.update(np.ascontiguousarray(b[idx]).tobytes())
@@ -275,13 +310,7 @@ def _verify_dimension(d: int, n: int, seed: int, acc: _Accumulator) -> None:
     acc.record("lambda_factor_ge_one", 1.0 - lam, rev_basis_defined, digest)
 
     # --- perpendicular-state baselines (analytic suprema) --------------------
-    mp1 = np.full(n, -np.inf)
-    for sign in (1.0, -1.0):
-        w = np.einsum("nij,nj->ni", a - sign * 1j * b, psi)
-        w_perp = w - psi * np.einsum("ni,ni->n", psi.conj(), w)[:, None]
-        amp = np.einsum("ni,ni->n", w_perp.conj(), w_perp).real
-        term1 = -2.0 * sign * z.imag
-        mp1 = np.maximum(mp1, term1 + amp)
+    mp1 = _mp_sum_1(a, b, psi, z.imag)
     acc.record("valid_mp_sum_1", mp1 - total, pure, digest)
 
     mp2 = 0.5 * (total + 2.0 * cov)
@@ -291,12 +320,10 @@ def _verify_dimension(d: int, n: int, seed: int, acc: _Accumulator) -> None:
     k = min(SUBSET, n)
     sel = np.arange(k)
     phase = np.exp(0.7j)
-    psi_rot = psi[sel] * phase
-    rho_rot = np.where(
-        pure[sel, None, None],
-        np.einsum("ni,nj->nij", psi_rot, psi_rot.conj()),
-        rho_mixed[sel],
-    )
+    pure_sel = pure[sel]
+    psi_rot = psi[sel][pure_sel] * phase
+    rho_rot = rho[sel]
+    rho_rot[pure_sel] = np.einsum("ni,nj->nij", psi_rot, psi_rot.conj())
     fid_a2 = np.maximum(np.einsum("nim,nij,njm->nm", va[sel].conj(), rho_rot, va[sel]).real, 0.0)
     fid_b2 = np.maximum(np.einsum("nim,nij,njm->nm", vb[sel].conj(), rho_rot, vb[sel]).real, 0.0)
     u2, _ = sorted_weighted(wa[sel] - mean_a[sel, None], fid_a2)
@@ -326,7 +353,7 @@ def _verify_dimension(d: int, n: int, seed: int, acc: _Accumulator) -> None:
 
     # per-instance arrays, exposed so tests can pin the engine to the scalar API
     return {
-        "pure": pure, "psi": psi, "rho_mixed": rho_mixed, "a": a, "b": b,
+        "pure": pure, "psi": psi, "rho": rho, "a": a, "b": b,
         "basis": basis, "product": product, "total": total, "rs": rs,
         "fidelity_product": fid_val, "parallelogram_sum": par_val,
         "reverse_fidelity": rev_fid, "reverse_defined": rev_defined,
@@ -337,6 +364,60 @@ def _verify_dimension(d: int, n: int, seed: int, acc: _Accumulator) -> None:
     }
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _verify_concurrently(dims, n, seed, accs, threads) -> None:
+    """Verify ``dims[i]`` into ``accs[i]`` on the calling thread and ``threads - 1`` helpers.
+
+    The calling thread starts on the heaviest dimension, so that only its
+    allocator arena holds the largest arrays; then each thread takes the
+    heaviest dimension not yet started, until none is left.  After an
+    exception no dimension is started; every helper is joined, and the
+    exception of the first failing dimension in ``dims`` order is raised on
+    the calling thread.
+    """
+    order = iter(sorted(range(len(dims)), key=lambda i: -dims[i]))
+    lock = threading.Lock()
+    errors = {}
+
+    def take():
+        with lock:
+            return next(order, None)
+
+    def drop_rest():
+        with lock:
+            for _ in order:
+                pass
+
+    def work(i):
+        while i is not None:
+            try:
+                _verify_dimension(dims[i], n, seed, accs[i])
+            except Exception as exc:  # raised on the calling thread below
+                errors[i] = exc
+                drop_rest()
+            i = take()
+
+    first = take()
+    helpers = [threading.Thread(target=lambda: work(take()), name=f"verify-{k}")
+               for k in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work(first)
+    finally:
+        drop_rest()  # an interrupt on this thread stops the helpers after their current dimension
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+
+
 def run_verification(n: int, dims, seed: int) -> VerificationReport:
     """Check every bound invariant on ``n`` random instances per dimension."""
     if n < 1:
@@ -345,9 +426,16 @@ def run_verification(n: int, dims, seed: int) -> VerificationReport:
     if not dims or any(d < 2 for d in dims):
         raise ValueError("dims must be a non-empty list of integers >= 2")
 
+    accs = [_Accumulator() for _ in dims]
+    threads = min(len(dims), _usable_cpus())
+    if threads < 2:
+        for d, part in zip(dims, accs):
+            _verify_dimension(d, n, seed, part)
+    else:
+        _verify_concurrently(dims, n, seed, accs, threads)
     acc = _Accumulator()
-    for d in dims:
-        _verify_dimension(d, n, seed, acc)
+    for part in accs:
+        acc.merge(part)
 
     undefined_fraction = {
         check: (acc.undefined[check] / acc.undefined_base[check]) if acc.undefined_base[check] else 0.0

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from varbounds.upper_bounds import (
     reverse_basis_product_bound,
     reverse_fidelity_product_bound,
 )
+from varbounds import verify
 from varbounds.verify import _Accumulator, _verify_dimension, run_verification
 
 
@@ -75,7 +77,7 @@ def _check_engine_against_scalar_api(d):
         if data["pure"][i]:
             state = QuantumState.pure(data["psi"][i])
         else:
-            state = QuantumState.mixed(data["rho_mixed"][i])
+            state = QuantumState.mixed(data["rho"][i])
         a = Observable(data["a"][i])
         b = Observable(data["b"][i])
 
@@ -145,3 +147,141 @@ def test_importing_the_cli_does_not_load_openssl():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_merge_equals_recording_into_one():
+    rng = np.random.default_rng(0)
+    whole, parts = _Accumulator(), [_Accumulator(), _Accumulator(), _Accumulator()]
+    for k, part in enumerate(parts):
+        slack = rng.normal(scale=1e-10, size=8)
+        mask = rng.random(8) < 0.5 if k else np.zeros(8, bool)  # the first part applies nowhere
+        defined = rng.random(8) < 0.5
+        for acc in (whole, part):
+            acc.record("valid_rs_product", slack, mask, lambda i, k=k: f"{k}:{i}")
+            acc.record("sandwich_sum", -slack, ~mask, lambda i, k=k: f"{k}:{i}")
+            acc.count_undefined("upper_dw_variance_sum", defined, mask)
+    assert whole.violations and whole.undefined["upper_dw_variance_sum"]
+    merged = _Accumulator()
+    for part in parts:
+        merged.merge(part)
+    assert vars(merged) == vars(whole)
+
+
+def _report_bytes(monkeypatch, cpus, n, dims, seed):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+    return render_json(run_verification(n, dims, seed))
+
+
+def test_usable_cpus():
+    cpus = verify._usable_cpus()
+    assert cpus >= 1
+    if hasattr(os, "sched_getaffinity"):
+        assert cpus == len(os.sched_getaffinity(0))
+
+
+def test_one_cpu_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started on one CPU")
+
+    monkeypatch.setattr(verify.threading, "Thread", no_thread)
+    assert _report_bytes(monkeypatch, 1, 40, [2, 3, 4, 6], 5)
+
+
+@pytest.mark.parametrize("dims", [[2, 3, 4, 6], [6, 2, 4, 3], [2, 2, 3]])
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_report_bytes_do_not_depend_on_threads(monkeypatch, dims, cpus):
+    # unsorted and duplicated dims keep their order in the report, as on one thread
+    one = _report_bytes(monkeypatch, 1, 300, dims, 7)
+    assert _report_bytes(monkeypatch, cpus, 300, dims, 7) == one
+    report = run_verification(300, dims, 7)
+    assert report.metadata["dims"] == dims
+    assert report.instances == 300 * len(dims)
+    assert render_json(report) == one
+
+
+def test_duplicated_dims_count_twice(monkeypatch):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    twice = run_verification(100, [2, 2, 3], 4)
+    once = run_verification(100, [2, 3], 4)
+    two = run_verification(100, [2], 4)
+    for check, count in once.applicable.items():
+        assert twice.applicable[check] == count + two.applicable[check]
+    assert twice.max_slack == once.max_slack
+
+
+def test_merged_violations_keep_the_order_of_dims(monkeypatch):
+    # with every slack a violation, each check lists its violations dimension by dimension
+    record = _Accumulator.record
+
+    def record_all(self, check, slack, mask, digest_fn, tol=None):
+        record(self, check, slack, mask, digest_fn, tol=-np.inf)
+
+    monkeypatch.setattr(_Accumulator, "record", record_all)
+    reports = [
+        _report_bytes(monkeypatch, cpus, 6, [4, 2, 3, 2], 9) for cpus in (1, 2, 4)
+    ]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    report = run_verification(6, [4, 2, 3, 2], 9)
+    assert not report.ok
+    digests = [v.digest for v in report.violations if v.check == "valid_rs_product"]
+    assert len(digests) == 24
+
+
+@pytest.mark.parametrize("failing", [3, 6])
+def test_an_exception_reaches_the_caller(monkeypatch, failing):
+    # dims (6, 3) on two threads: the caller verifies d=6 and the helper d=3
+    real = verify._verify_dimension
+    ran_on = {}
+
+    def flaky(d, n, seed, acc):
+        ran_on[d] = threading.current_thread()
+        if d == failing:
+            raise RuntimeError(f"dimension {d} failed")
+        return real(d, n, seed, acc)
+
+    monkeypatch.setattr(verify, "_verify_dimension", flaky)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    with pytest.raises(RuntimeError, match=f"^dimension {failing} failed$"):
+        run_verification(20, [6, 3], 1)
+
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"^dimension {failing} failed$"):
+        run_verification(20, [6, 3], 1)
+    assert threading.active_count() == before
+    assert ran_on[6] is threading.current_thread()
+    assert ran_on[3] is not threading.current_thread()
+
+
+def test_first_failing_dimension_in_dims_order_is_raised(monkeypatch):
+    def failing(d, n, seed, acc):
+        raise ValueError(f"d={d}")
+
+    monkeypatch.setattr(verify, "_verify_dimension", failing)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    with pytest.raises(ValueError, match="^d=2$"):
+        run_verification(5, [2, 6], 0)  # d=6 fails first, on the caller
+
+
+def test_many_threads_verify_each_dimension_once(monkeypatch):
+    # more threads than CPUs and a short switch interval: a dimension taken twice or
+    # lost between the threads changes the call count or the report
+    dims = [2, 3, 4, 2, 5, 3, 6, 2, 4, 3, 2, 5]
+    one = _report_bytes(monkeypatch, 1, 12, dims, 3)
+    real = verify._verify_dimension
+    calls = []
+
+    def counted(d, n, seed, acc):
+        calls.append(d)
+        return real(d, n, seed, acc)
+
+    monkeypatch.setattr(verify, "_verify_dimension", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            calls.clear()
+            assert _report_bytes(monkeypatch, 8, 12, dims, 3) == one
+            assert sorted(calls) == sorted(dims)
+    finally:
+        sys.setswitchinterval(interval)
