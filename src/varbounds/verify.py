@@ -374,9 +374,9 @@ def _usable_cpus() -> int:
 def _verify_concurrently(dims, n, seed, accs, threads) -> None:
     """Verify ``dims[i]`` into ``accs[i]`` on the calling thread and ``threads - 1`` helpers.
 
-    The calling thread starts on the heaviest dimension, so that only its
+    The calling thread starts on the largest dimension, so that only its
     allocator arena holds the largest arrays; then each thread takes the
-    heaviest dimension not yet started, until none is left.  After an
+    largest dimension not yet started, until none is left.  After an
     exception no dimension is started; every helper is joined, and the
     exception of the first failing dimension in ``dims`` order is raised on
     the calling thread.
