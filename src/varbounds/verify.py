@@ -25,13 +25,16 @@ against the scalar API's.  Nothing here depends on eigenvector phases:
 only eigenvalues and the fidelities <v|rho|v> are used, and GUE spectra
 are non-degenerate with probability 1.
 
-The dimensions of one call run concurrently, on as many threads as there
-are dimensions and usable CPUs (one thread on a one-CPU host); numpy
-releases the interpreter lock in the LAPACK, BLAS, einsum and generator
-calls that carry the cost.  Each dimension draws from its own generator and
-fills its own accumulator, and the accumulators are merged in the order of
-``dims``, so the report does not depend on the thread count or on
-scheduling.  There is no setting for it.
+The dimensions of one call run concurrently, on the calling thread and one
+helper thread (on the calling thread alone for one dimension or on a
+one-CPU host); numpy releases the interpreter lock in the LAPACK, BLAS,
+einsum and generator calls that carry the cost.  With the default dims the
+largest dimension, which the calling thread takes alone, lasts about as
+long as the others together, so a third thread would not finish sooner and
+would hold one more dimension in memory.  Each dimension draws from its own
+generator and fills its own accumulator, and the accumulators are merged
+in the order of ``dims``, so the report does not depend on the thread count
+or on scheduling.  There is no setting for it.
 
 Any violation means an implementation bug: the inequalities are theorems.
 The report is deterministic under a fixed seed and carries no timestamps:
@@ -371,15 +374,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _verify_concurrently(dims, n, seed, accs, threads) -> None:
-    """Verify ``dims[i]`` into ``accs[i]`` on the calling thread and ``threads - 1`` helpers.
+def _verify_on_two_threads(dims, n, seed, accs) -> None:
+    """Verify ``dims[i]`` into ``accs[i]`` on the calling thread and one helper thread.
 
     The calling thread starts on the largest dimension, so that only its
     allocator arena holds the largest arrays; then each thread takes the
-    largest dimension not yet started, until none is left.  After an
-    exception no dimension is started; every helper is joined, and the
-    exception of the first failing dimension in ``dims`` order is raised on
-    the calling thread.
+    largest dimension not yet started, until none is left.  A failing
+    dimension does not stop the others, so once the helper is joined the
+    exception raised on the calling thread is that of the first failing
+    dimension in ``dims`` order, as on one thread.
     """
     order = iter(sorted(range(len(dims)), key=lambda i: -dims[i]))
     lock = threading.Lock()
@@ -389,31 +392,24 @@ def _verify_concurrently(dims, n, seed, accs, threads) -> None:
         with lock:
             return next(order, None)
 
-    def drop_rest():
-        with lock:
-            for _ in order:
-                pass
-
     def work(i):
         while i is not None:
             try:
                 _verify_dimension(dims[i], n, seed, accs[i])
             except Exception as exc:  # raised on the calling thread below
                 errors[i] = exc
-                drop_rest()
             i = take()
 
     first = take()
-    helpers = [threading.Thread(target=lambda: work(take()), name=f"verify-{k}")
-               for k in range(1, threads)]
-    for helper in helpers:
-        helper.start()
+    helper = threading.Thread(target=lambda: work(take()), name="verify-helper")
+    helper.start()
     try:
         work(first)
     finally:
-        drop_rest()  # an interrupt on this thread stops the helpers after their current dimension
-        for helper in helpers:
-            helper.join()
+        with lock:  # after an interrupt on this thread the helper stops after its current dimension
+            for _ in order:
+                pass
+        helper.join()
     if errors:
         raise errors[min(errors)]
 
@@ -427,12 +423,11 @@ def run_verification(n: int, dims, seed: int) -> VerificationReport:
         raise ValueError("dims must be a non-empty list of integers >= 2")
 
     accs = [_Accumulator() for _ in dims]
-    threads = min(len(dims), _usable_cpus())
-    if threads < 2:
+    if len(dims) > 1 and _usable_cpus() > 1:
+        _verify_on_two_threads(dims, n, seed, accs)
+    else:
         for d, part in zip(dims, accs):
             _verify_dimension(d, n, seed, part)
-    else:
-        _verify_concurrently(dims, n, seed, accs, threads)
     acc = _Accumulator()
     for part in accs:
         acc.merge(part)

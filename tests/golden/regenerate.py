@@ -12,8 +12,9 @@ too, which must fail with exit code 2.  Every sweep config
 run through ``sweep`` (JSON and CSV), and ``verify`` runs on its default
 ensemble at two seeds (JSON).  Each output goes to ``out/`` and
 ``MANIFEST.json`` lists the cases with their argv, exit code and stderr, plus
-the commit and the numpy version the outputs were made with.  ``tests/test_golden.py`` compares the
-program against these files.  Regenerate only when an output is meant to
+the commit the outputs were made at and the host they were made on (see
+``host``).  ``tests/test_golden.py`` compares the program against these
+files, bit for bit on a host with the same fingerprint.  Regenerate only when an output is meant to
 change, and say so in CHANGES.md.
 """
 
@@ -63,6 +64,45 @@ def cases() -> dict[str, list[str]]:
     return out
 
 
+def host() -> dict:
+    """What fixes the last bits of a float output besides the code.
+
+    The numpy version, its BLAS build, the CPU features numpy dispatches its
+    loops on, and the kernel set OpenBLAS picked for this CPU at run time
+    (None where it cannot be asked).
+    """
+    import numpy as np
+
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.26 cannot return its config
+        blas = None
+    return {"numpy": np.__version__, "blas": blas, "blas_core": _openblas_core(),
+            "cpu_features": sorted(k for k, on in __cpu_features__.items() if on)}
+
+
+def _openblas_core() -> str | None:
+    """OpenBLAS's name for the kernels it runs on this CPU, from the copy bundled with numpy."""
+    import ctypes
+
+    import numpy as np
+
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))  # the copy numpy has already loaded
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename"):
+            corename = getattr(handle, symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
 def run(argv: list[str]) -> tuple[int, str, str]:
     """``varbounds`` in this process: exit code, stdout and stderr."""
     from varbounds import cli
@@ -75,15 +115,12 @@ def run(argv: list[str]) -> tuple[int, str, str]:
 
 
 def main() -> int:
-    import numpy as np
-
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=HERE, capture_output=True,
                             text=True, check=True).stdout.strip()
     dirty = subprocess.run(["git", "status", "--porcelain", "--", "../../src"], cwd=HERE,
                            capture_output=True, text=True, check=True).stdout.strip()
     OUT.mkdir(exist_ok=True)
-    manifest = {"commit": commit + ("+modified src" if dirty else ""), "numpy": np.__version__,
-                "cases": {}}
+    manifest = {"commit": commit + ("+modified src" if dirty else ""), "host": host(), "cases": {}}
     for name, argv in cases().items():
         code, stdout, stderr = run(argv)
         (OUT / name).write_text(stdout, encoding="utf-8")

@@ -1,16 +1,19 @@
 """``compute``, ``optimize``, ``sweep`` and ``verify`` against the golden outputs in tests/golden/.
 
-The outputs were made by ``tests/golden/regenerate.py`` at the commit and
-with the numpy version named in ``MANIFEST.json``.  Keys, statuses, exit
-codes, error messages and undefined cells must match exactly.  With that
-numpy version every float must have the same bits.  With another one,
-floats must agree within ``ULPS`` units in the last place of
+The outputs were made by ``tests/golden/regenerate.py`` at the commit and on
+the host named in ``MANIFEST.json``.  Keys, statuses, exit codes, error
+messages and undefined cells must match exactly.  On a host with the same
+fingerprint (numpy version, BLAS build, CPU features and the OpenBLAS
+kernels picked for the CPU) every float must have the same bits.  On any
+other, floats must agree within ``ULPS`` units in the last place of
 max(|expected|, 1): the witness bases come from a LAPACK QR and the moments
-from BLAS, whose last bits may differ between builds.  A report's metadata
-names the numpy version it ran with; that one entry is not compared.
+from BLAS, whose last bits may differ between builds and CPUs.  A report's
+metadata names the numpy version it ran with; that one entry is not
+compared.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -24,7 +27,10 @@ from varbounds import cli
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "MANIFEST.json").read_text())
 ULPS = 16
-EXACT = MANIFEST.get("numpy") == np.__version__  # bit for bit on the numpy that made the files
+_spec = importlib.util.spec_from_file_location("regenerate", GOLDEN / "regenerate.py")
+_regenerate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_regenerate)
+EXACT = MANIFEST.get("host") == _regenerate.host()  # bit for bit on the host that made the files
 
 
 def _run(argv):
@@ -98,6 +104,12 @@ def test_output_matches_golden(name):
         _same_csv(stdout, want)
     else:
         assert stdout == want
+
+
+def test_host_fingerprint_has_the_manifest_keys():
+    host = _regenerate.host()
+    assert json.loads(json.dumps(host)) == host and host["numpy"] == np.__version__
+    assert sorted(host) == sorted(MANIFEST["host"])
 
 
 def test_every_golden_file_is_a_case():

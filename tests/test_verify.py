@@ -253,35 +253,54 @@ def test_an_exception_reaches_the_caller(monkeypatch, failing):
     assert ran_on[3] is not threading.current_thread()
 
 
-def test_first_failing_dimension_in_dims_order_is_raised(monkeypatch):
+@pytest.mark.parametrize("cpus, ran", [(1, [2, 3]), (2, [2, 3, 4, 6])])
+def test_first_failing_dimension_in_dims_order_is_raised(monkeypatch, cpus, ran):
+    # on two threads the caller verifies d=6 and the helper 4, 3 and 2: a failure at d=4
+    # must not keep d=3 from running, or d=4's error would be raised instead of d=3's
+    real = verify._verify_dimension
+    calls = []
+
     def failing(d, n, seed, acc):
-        raise ValueError(f"d={d}")
+        calls.append(d)
+        if d in (3, 4):
+            raise ValueError(f"d={d}")
+        return real(d, n, seed, acc)
 
     monkeypatch.setattr(verify, "_verify_dimension", failing)
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-    with pytest.raises(ValueError, match="^d=2$"):
-        run_verification(5, [2, 6], 0)  # d=6 fails first, on the caller
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+    with pytest.raises(ValueError, match="^d=3$"):
+        run_verification(5, [2, 3, 4, 6], 0)
+    assert sorted(calls) == ran
 
 
-def test_many_threads_verify_each_dimension_once(monkeypatch):
-    # more threads than CPUs and a short switch interval: a dimension taken twice or
-    # lost between the threads changes the call count or the report
+def test_at_most_one_helper_thread_verifies_each_dimension_once(monkeypatch):
+    # eight CPUs and a short switch interval: still one helper, and a dimension taken twice
+    # or lost between the threads changes the call count or the report
     dims = [2, 3, 4, 2, 5, 3, 6, 2, 4, 3, 2, 5]
     one = _report_bytes(monkeypatch, 1, 12, dims, 3)
     real = verify._verify_dimension
     calls = []
+    started = []
 
     def counted(d, n, seed, acc):
         calls.append(d)
         return real(d, n, seed, acc)
 
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
     monkeypatch.setattr(verify, "_verify_dimension", counted)
+    monkeypatch.setattr(verify.threading, "Thread", CountedThread)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             calls.clear()
+            started.clear()
             assert _report_bytes(monkeypatch, 8, 12, dims, 3) == one
             assert sorted(calls) == sorted(dims)
+            assert len(started) == 1
     finally:
         sys.setswitchinterval(interval)
