@@ -66,25 +66,39 @@ class OrthonormalBasis:
 
 
 class Observable:
-    """Hermitian operator whose spectral decomposition is computed on first use.
+    """Hermitian operator, or a stack of them, whose spectral decomposition is computed on first use.
 
-    The matrix is validated and frozen at construction.  The first read of
-    ``eigenvalues`` or ``eigenvectors`` diagonalizes it once and caches both
-    for the object's lifetime; code that only applies the matrix never pays
-    for the eigensolver.  Two threads reading first may both diagonalize,
-    and both get the same bits.
+    The matrix, shape (d, d), or a stack of matrices, shape (n, d, d), is
+    validated and frozen at construction.  The first read of
+    ``eigenvalues`` or ``eigenvectors`` diagonalizes it once (a stack with
+    one batched LAPACK call) and caches both for the object's lifetime;
+    code that only applies the matrix never pays for the eigensolver.  Two
+    threads reading first may both diagonalize, and both get the same bits.
+    ``obs[rows]`` is some rows of a stack, which share the spectrum once it
+    is computed.
 
     Eigenvalues are ascending; eigenvector columns follow the deterministic
     phase convention of :func:`eigh`, so repeated construction from the same
-    matrix on one machine is bit-reproducible.
+    matrix on one machine is bit-reproducible, and a matrix in a stack has
+    the bits it has alone.
     """
 
     def __init__(self, matrix: np.ndarray):
         m = require_hermitian(np.asarray(matrix, dtype=np.complex128))
-        if m.ndim != 2:
-            raise VarboundsError("Observable expects a single matrix")
+        if m.ndim not in (2, 3):
+            raise VarboundsError(f"Observable expects a matrix or a stack of matrices, got shape {m.shape}")
         self.matrix = _frozen(m, fresh=True)
         self._spectrum = None
+
+    def __getitem__(self, rows) -> "Observable":
+        """The observables at ``rows`` of a stack, validated already, with the spectrum if it is computed."""
+        if self.matrix.ndim != 3:
+            raise VarboundsError("only a stack of observables has rows")
+        out = object.__new__(Observable)
+        out.matrix = _frozen(self.matrix[rows], fresh=True)
+        spectrum = self._spectrum
+        out._spectrum = None if spectrum is None else tuple(_frozen(x[rows], fresh=True) for x in spectrum)
+        return out
 
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         spectrum = self._spectrum
@@ -103,7 +117,7 @@ class Observable:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def eigenbasis(self) -> OrthonormalBasis:
         return OrthonormalBasis(self.eigenvectors)
@@ -130,10 +144,32 @@ def unit_rows(vectors) -> np.ndarray:
     parts = v.view(np.float64).reshape(*v.shape, 2).transpose(2, 0, 1)[..., None]  # real, imaginary
     dots = np.matmul(parts.swapaxes(-1, -2), parts)  # ddot per row and part, shape (2, n, 1, 1)
     nrm = np.sqrt(dots[0] + dots[1])[:, 0]
-    for i, (x,) in enumerate(nrm.tolist()):
-        if abs(x - 1.0) > 1e-12:
-            raise VarboundsError(f"pure state norm {nrm[i, 0]!r} is not 1 within 1e-12")
+    far = np.abs(nrm - 1.0) > 1e-12
+    if far.any():
+        raise VarboundsError(f"pure state norm {nrm[far][0]!r} is not 1 within 1e-12")
     return v / nrm
+
+
+def density_rows(matrices) -> np.ndarray:
+    """An (n, d, d) stack of density matrices, validated and symmetrized.
+
+    Each must be Hermitian (see :func:`require_hermitian`, whose symmetrized
+    matrix is returned), have trace 1 within 1e-12 and no eigenvalue below
+    -1e-10.  The last test asks for a Cholesky factor of rho + 1e-10 I, one
+    batched LAPACK call several times cheaper than the eigenvalues, which
+    are computed only to report a rejected matrix.
+    """
+    r = require_hermitian(np.asarray(matrices, dtype=np.complex128))
+    tr = np.trace(r, axis1=-2, axis2=-1).real
+    far = np.abs(tr - 1.0) > 1e-12
+    if far.any():
+        raise VarboundsError(f"density matrix trace {float(tr[far][0])!r} is not 1 within 1e-12")
+    try:
+        np.linalg.cholesky(r + 1e-10 * np.eye(r.shape[-1]))
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(r)[..., 0].min()
+        raise VarboundsError(f"density matrix has eigenvalue {low:.3e} < -1e-10") from None
+    return r
 
 
 class QuantumState:
@@ -145,15 +181,8 @@ class QuantumState:
             self.vector = _frozen(unit_rows(v)[0], fresh=True)
             self.rho = None
         elif kind == "mixed":
-            r = require_hermitian(np.asarray(rho, dtype=np.complex128))
-            tr = np.trace(r).real
-            if abs(tr - 1.0) > 1e-12:
-                raise VarboundsError(f"density matrix trace {tr!r} is not 1 within 1e-12")
-            low = np.linalg.eigvalsh(r)[0]
-            if low < -1e-10:
-                raise VarboundsError(f"density matrix has eigenvalue {low:.3e} < -1e-10")
             self.vector = None
-            self.rho = _frozen(r, fresh=True)
+            self.rho = _frozen(density_rows(np.asarray(rho, dtype=np.complex128)[None])[0], fresh=True)
         else:
             raise VarboundsError(f"unknown state kind {kind!r}")
         self.kind = kind

@@ -40,7 +40,6 @@ from .moments import (  # fidelity_weights and sorted_weighted are re-exported
     first_row,
     inner,
     matvec,
-    pow2,
     sorted_weighted,
 )
 
@@ -164,8 +163,9 @@ def sorted_weight_sequences(state: QuantumState, a: Observable, b: Observable) -
 def rs_product(inst: Instance) -> BoundArrays:
     """Robertson-Schrodinger: |<[A,B]>/2|^2 + Cov(A,B)^2."""
     ms = inst.moments
-    comm_term = pow2(np.abs(ms.comm_expect / 2.0))
-    cov_term = pow2(ms.cov)
+    half_comm = np.abs(ms.comm_expect / 2.0)
+    comm_term = half_comm * half_comm
+    cov_term = ms.cov * ms.cov
     return BoundArrays("rs_product", comm_term + cov_term,
                        intermediates={"commutator_term": comm_term, "covariance_term": cov_term})
 
@@ -177,7 +177,8 @@ def basis_product(inst: Instance, basis=None) -> BoundArrays:
     default is the standard basis.
     """
     aa, bb = coefficient_moduli(inst, basis)
-    return BoundArrays("basis_product", pow2(inner(aa, bb)),
+    s = inner(aa, bb)
+    return BoundArrays("basis_product", s * s,
                        intermediates={"alpha_abs": aa, "beta_abs": bb})
 
 
@@ -196,8 +197,8 @@ def fidelity_product(inst: Instance) -> BoundArrays:
     """
     seqs = inst.sequences
     asc, alt = pairing_sums(seqs.u, seqs.v)
-    v_asc = pow2(asc)
-    v_alt = pow2(alt)
+    v_asc = asc * asc
+    v_alt = alt * alt
     ascending = v_asc >= v_alt
     return BoundArrays(
         "fidelity_product",
@@ -281,7 +282,7 @@ def mp_sum_2(inst: Instance) -> BoundArrays:
     psi = inst.vectors
     mv = matvec(inst.a.matrix + inst.b.matrix, psi)
     mean = inner(psi, mv).real
-    var_sum_op = np.maximum(inner(mv, mv).real - pow2(mean), 0.0)
+    var_sum_op = np.maximum(inner(mv, mv).real - mean * mean, 0.0)
     return BoundArrays("mp_sum_2", 0.5 * var_sum_op, baseline=True,
                        intermediates={"variance_of_sum_operator": var_sum_op})
 

@@ -5,16 +5,20 @@ matrix); the deviation vector is the one pure-only construction.  The
 standalone functions (:func:`expectation`, :func:`variance`, ...) take one
 state and return plain floats/complex numbers.
 
-:class:`Instance` holds a stack of states and one pair of observables with
-every moment a bound reads, as arrays over the stack's rows.  A sweep
-builds one for its whole theta grid and ``compute_instance`` a one-row
-instance per call; every bound reads the same instance, so the dimension
-check runs once and each moment at most once: the means when the instance
-is built, the rest when a bound first reads it.  Each row of an instance
-carries the bits the standalone functions give for that state alone: the
-matrix-vector products and inner products go through :func:`matvec` and
-:func:`inner`, which call the same BLAS kernels per row as ``A @ psi`` and
-``np.vdot`` do, and squares of per-row scalars go through :func:`pow2`.
+:class:`Instance` holds a stack of states with one pair of observables, or
+one pair per row, and every moment a bound reads, as arrays over the
+stack's rows.  A sweep builds one for its whole theta grid,
+``compute_instance`` a one-row instance per call and ``verify`` one for the
+pure and one for the mixed rows of each dimension's draw; every bound reads
+the same instance, so the dimension check runs once and each moment at
+most once: the means when the instance is built, the rest when a bound
+first reads it.  Each row of an instance carries the bits the standalone
+functions give for that state and pair alone: the matrix-vector products
+and inner products go through :func:`matvec` and :func:`inner`, which call
+the same BLAS kernels per row as ``A @ psi`` and ``np.vdot`` do, the traces
+and fidelities of density matrices are one ``einsum`` over the stack, which
+sums each row as it sums one matrix, and a square is ``x * x``, correctly
+rounded and the same in a stack as alone.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, MixedStateUnsupported, NumericalConsistencyError, VarboundsError
-from .linalg import Observable, OrthonormalBasis, QuantumState, check_dims, unit_rows
+from .linalg import Observable, OrthonormalBasis, QuantumState, check_dims, density_rows, unit_rows
 
 __all__ = [
     "MomentSet",
@@ -57,18 +61,6 @@ def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     the last bits.)
     """
     return np.matmul(x.conj()[..., None, :], y[..., :, None])[..., 0, 0]
-
-
-def pow2(x: np.ndarray) -> np.ndarray:
-    """x ** 2 as C's ``pow(x, 2)`` rounds it, for each entry of an array.
-
-    A Python or numpy float squared with ``**`` calls ``pow``, which rounds
-    differently from ``x * x`` (and from an array's ``**``) in about one
-    case in a thousand.  The bound formulas square their per-row scalars
-    this way, so a row of a stack has the bits of the same formula on one
-    state.
-    """
-    return np.array([v ** 2 for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def first_row(x):
@@ -107,16 +99,28 @@ class MomentSet:
         return np.maximum(self.var_a + self.var_b - 2.0 * self.cov, 0.0)
 
 
-def _trace_product(rho: np.ndarray, m: np.ndarray) -> complex:
-    """tr(rho M) for one density matrix."""
-    return complex(np.einsum("ij,ji->", rho, m))
+def _stacked_einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum`` over matrix stacks whose leading axes broadcast, each matrix summed as alone.
+
+    The operands are first broadcast to one shape and made contiguous: over
+    a broadcast (stride 0) or strided axis einsum may order a row's sum
+    differently from that of the same matrices on their own.
+    """
+    if len({x.shape for x in operands}) > 1:
+        operands = np.broadcast_arrays(*operands)
+    return np.einsum(subscripts, *map(np.ascontiguousarray, operands))
+
+
+def _traces(rho: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """tr(rho M) over the last two axes; the leading axes of ``rho`` and ``m`` broadcast."""
+    return _stacked_einsum("...ij,...ji->...", rho, m)
 
 
 def _expect_matrix(state: QuantumState, m: np.ndarray) -> complex:
     """<M> for an arbitrary (not necessarily Hermitian) matrix."""
     if state.is_pure:
         return complex(np.vdot(state.vector, m @ state.vector))
-    return _trace_product(state.rho, m)
+    return complex(_traces(state.rho, m))
 
 
 def _real(z: np.ndarray) -> np.ndarray:
@@ -126,7 +130,7 @@ def _real(z: np.ndarray) -> np.ndarray:
     input or a bug, and raises.
     """
     residue = abs(z.imag)
-    if residue.max() > IMAG_RESIDUE_TOL:
+    if residue.size and residue.max() > IMAG_RESIDUE_TOL:
         raise NumericalConsistencyError(
             f"expectation has imaginary residue {z.imag.flat[residue.argmax()]:.3e}")
     return z.real
@@ -167,7 +171,8 @@ def variance(state: QuantumState, a: Observable) -> float:
         second = float(np.real(np.vdot(av, av)))
     else:
         second = _real_expect(state, a.matrix @ a.matrix)
-    return float(clamp_variance(second - expectation(state, a) ** 2, second))
+    mean = expectation(state, a)
+    return float(clamp_variance(second - mean * mean, second))
 
 
 def covariance(state: QuantumState, a: Observable, b: Observable) -> float:
@@ -215,19 +220,21 @@ def deviation_norm(matrix: np.ndarray, mean) -> np.ndarray:
 def _fidelities(bases: np.ndarray, vectors, rho) -> np.ndarray:
     """F_m = <v_m|rho|v_m> over the columns v_m of each eigenbasis in ``bases``, for each state.
 
-    ``bases`` is a stack of k eigenvector matrices and the states are n
-    stacked vectors or density matrices; the result has shape (k, n, d).
+    The states are n stacked vectors or density matrices (the other is
+    None).  ``bases`` has shape (k, m, d, d): k eigenbases, each one matrix
+    for every state (m = 1) or one per state (m = n); the result has shape
+    (k, n, d).
     """
     if vectors is not None:
-        return np.abs(matvec(bases.conj().swapaxes(-1, -2)[:, None], vectors)) ** 2
-    return np.array([[np.einsum("im,ij,jm->m", v.conj(), r, v).real for r in rho] for v in bases])
+        return np.abs(matvec(bases.conj().swapaxes(-1, -2), vectors)) ** 2
+    return np.array([_stacked_einsum("...im,...ij,...jm->...m", v.conj(), rho, v).real for v in bases])
 
 
 def fidelity_weights(state: QuantumState, a: Observable) -> np.ndarray:
     """Transition probabilities between the state and each eigenvector of A."""
     if state.is_pure:
-        return _fidelities(a.eigenvectors[None], state.vector[None], None)[0, 0]
-    return _fidelities(a.eigenvectors[None], None, state.rho[None])[0, 0]
+        return _fidelities(a.eigenvectors[None, None], state.vector[None], None)[0, 0]
+    return _fidelities(a.eigenvectors[None, None], None, state.rho[None])[0, 0]
 
 
 def sorted_weighted(values: np.ndarray, weights: np.ndarray):
@@ -254,56 +261,61 @@ class SortedWeightSequences:
 
 
 class Instance:
-    """A stack of states and one pair of observables, with the moments every bound reads.
+    """A stack of states and their observable pairs, with the moments every bound reads.
 
     ``states`` is one :class:`QuantumState` (a one-row instance, which the
-    scalar API builds), a sequence of states of one kind, or a sweep's
-    (n, d) array of pure vectors, normalized as :meth:`QuantumState.pure`
-    does; every moment is an array over the rows.  Building it checks the
-    dimensions once and computes A psi, B psi (pure states), <A> and <B>,
-    with the expressions of :func:`expectation`; mixed states use the trace
-    formulas, row by row.  ``moments`` (<AB>, both variances and the
-    covariance), the deviation vectors, the fidelity-weighted sequences and
-    the two deviation scales are computed on first read and kept, so a bound
-    that reads only the means and deviations (the basis bounds, the fidelity
-    sequences, every optimum) computes no variance.
+    scalar API builds), a sequence of states of one kind, an (n, d) array of
+    pure vectors, normalized as :meth:`QuantumState.pure` does, or an
+    (n, d, d) array of density matrices, validated as
+    :meth:`QuantumState.mixed` does.  ``a`` and ``b`` are one pair of
+    observables for every row, or two stacked observables with one matrix
+    per row; every moment is an array over the rows.  Building it checks
+    the dimensions once and computes A psi, B psi (pure states), <A> and
+    <B>, with the expressions of :func:`expectation`; mixed states use the
+    trace formulas, stacked.  ``moments`` (<AB>, both variances and the
+    covariance), the deviation vectors, the fidelities and the
+    fidelity-weighted sequences and the two deviation scales are computed
+    on first read and kept, so a bound that reads only the means and
+    deviations (the basis bounds, the fidelity sequences, every optimum)
+    computes no variance.
     """
 
     def __init__(self, states, a: Observable, b: Observable):
         if isinstance(states, QuantumState):
             states = (states,)
-        stack = isinstance(states, np.ndarray)  # pure state vectors, one per row, normalized here
-        if stack and states.ndim != 2:
-            raise VarboundsError(f"a stack of state vectors has shape (rows, dim), got {states.shape}")
-        self.is_pure = stack or states[0].is_pure
-        for d in states.shape[1:] if stack else [s.dim for s in states]:
+        stack = isinstance(states, np.ndarray)  # vectors or density matrices, one per row
+        if stack and states.ndim not in (2, 3):
+            raise VarboundsError(
+                f"a stack of states has shape (rows, dim) or (rows, dim, dim), got {states.shape}")
+        self.is_pure = states.ndim == 2 if stack else states[0].is_pure
+        for d in {states.shape[-1]} if stack else [s.dim for s in states]:
             for obs in (a, b):
                 if obs.dim != d:
                     raise DimensionMismatch(f"state dim {d} vs observable dim {obs.dim}")
         for s in () if stack else states:
             if s.is_pure != self.is_pure:
                 raise VarboundsError("an instance stacks states of one kind")
-        self.dim = a.dim
+        if a.matrix.shape != b.matrix.shape or a.matrix.ndim == 3 and len(a.matrix) != len(states):
+            raise VarboundsError("an instance has one observable pair, or one pair per row")
+        d = self.dim = a.dim
         self.a = a
         self.b = b
-        # quantities of A and B are computed together, stacked on a first axis of 2
-        self._pair = np.array([a.matrix, b.matrix])
+        # A and B, each (1, d, d) for every row or (rows, d, d); the quantities of A and B
+        # computed from them are stacked on a first axis of 2
+        self._pair = tuple(obs.matrix.reshape(-1, d, d) for obs in (a, b))
         if self.is_pure:
             psi = self.vectors = unit_rows(states) if stack else np.array([s.vector for s in states])
             self.rho = None
-            self._pair_psi = matvec(self._pair[:, None], psi)  # A psi and B psi
+            self._pair_psi = np.array([matvec(m, psi) for m in self._pair])  # A psi and B psi
             self._means = _real(inner(psi, self._pair_psi))
         else:
             self.vectors = None
-            self.rho = np.array([s.rho for s in states])
-            self._means = _real(np.array([self._traces(a.matrix), self._traces(b.matrix)]))
+            self.rho = density_rows(states) if stack else np.array([s.rho for s in states])
+            self._means = _real(np.array([_traces(self.rho, m) for m in self._pair]))
         self.mean_a, self.mean_b = self._means
 
     def __len__(self) -> int:
         return len(self.mean_a)
-
-    def _traces(self, m: np.ndarray) -> np.ndarray:
-        return np.array([_trace_product(r, m) for r in self.rho])
 
     @cached_property
     def moments(self) -> MomentSet:
@@ -311,14 +323,15 @@ class Instance:
 
         The expressions are those of :func:`variance` and :func:`covariance`.
         """
-        a, b = self.a, self.b
+        a, b = self._pair
+        ab = a @ b
         if self.is_pure:
-            z = inner(self.vectors, matvec(a.matrix @ b.matrix, self.vectors))
+            z = inner(self.vectors, matvec(ab, self.vectors))
             second = inner(self._pair_psi, self._pair_psi).real
         else:
-            z = self._traces(a.matrix @ b.matrix)
-            second = _real(np.array([self._traces(a.matrix @ a.matrix), self._traces(b.matrix @ b.matrix)]))
-        var_a, var_b = clamp_variance(second - pow2(self._means), second)
+            z = _traces(self.rho, ab)
+            second = _real(np.array([_traces(self.rho, m @ m) for m in self._pair]))
+        var_a, var_b = clamp_variance(second - self._means * self._means, second)
         return MomentSet(
             mean_a=self.mean_a,
             mean_b=self.mean_b,
@@ -345,14 +358,20 @@ class Instance:
         return self._deviations[1]
 
     @cached_property
-    def _eig_devs(self) -> np.ndarray:
-        """Eigenvalue deviations a_i - <A> and b_i - <B>, one row per state."""
-        return np.array([self.a.eigenvalues, self.b.eigenvalues])[:, None, :] - self._means[..., None]
+    def eig_devs(self) -> np.ndarray:
+        """Eigenvalue deviations a_i - <A> and b_i - <B>, shape (2, rows, d)."""
+        values = np.array([self.a.eigenvalues, self.b.eigenvalues]).reshape(2, -1, self.dim)
+        return values - self._means[..., None]
+
+    @cached_property
+    def fidelities(self) -> np.ndarray:
+        """<a_i|rho|a_i> and <b_i|rho|b_i> over the eigenvectors of A and B, shape (2, rows, d)."""
+        bases = np.array([self.a.eigenvectors, self.b.eigenvectors]).reshape(2, -1, self.dim, self.dim)
+        return _fidelities(bases, self.vectors, self.rho)
 
     @cached_property
     def sequences(self) -> SortedWeightSequences:
-        bases = np.array([self.a.eigenvectors, self.b.eigenvectors])
-        (u, v), (ui, vi) = sorted_weighted(self._eig_devs, _fidelities(bases, self.vectors, self.rho))
+        (u, v), (ui, vi) = sorted_weighted(self.eig_devs, self.fidelities)
         return SortedWeightSequences(u=u, v=v, u_indices=ui, v_indices=vi)
 
     @cached_property
@@ -362,12 +381,12 @@ class Instance:
         The deviations ascend with the eigenvalues, so the largest modulus
         is at one end.
         """
-        return np.abs(self._eig_devs[..., [0, -1]]).max(axis=-1)
+        return np.abs(self.eig_devs[..., [0, -1]]).max(axis=-1)
 
     @cached_property
     def frobenius_scales(self) -> np.ndarray:
         """||A - <A>||_F and ||B - <B>||_F per row, shape (2, rows) (see :func:`deviation_norm`)."""
-        return deviation_norm(self._pair[:, None], self._means)
+        return deviation_norm(np.array(self._pair), self._means)
 
 
 def coefficient_moduli(inst: Instance, basis=None) -> np.ndarray:

@@ -87,18 +87,6 @@ def _frame(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return q * phase[..., None, :]
 
 
-def _aligned_scale(ff: float, gg: float, ov: complex):
-    """The factor taking g to g' = scale * g for one row, or None when f or g is numerically null."""
-    nf = math.sqrt(ff)
-    ng = math.sqrt(gg)
-    if nf < 1e-14 or ng < 1e-14:
-        return None
-    scale = nf / ng
-    if ov:
-        scale *= ov.conjugate() / abs(ov)
-    return scale
-
-
 def aligned_basis(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Basis whose columns carry proportional weights of ``f`` and ``g``.
 
@@ -111,17 +99,21 @@ def aligned_basis(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     round-off, and the QR still returns an orthonormal basis.  Works over
     leading axes (one basis per row, one QR call for all of them); where f
     or g is numerically null the standard basis stands in.  The scale of
-    each row is a Python number, so it has the bits of the one-row formula.
+    all rows is one array expression: |<f|g>| is ``hypot`` of its parts, as
+    Python's ``abs`` takes it, and the phase divides each part by it.
     """
     d = f.shape[-1]
     rows_f, rows_g = f.reshape(-1, d), g.reshape(-1, d)
-    ff, gg, ov = inner(np.array([rows_f, rows_g, rows_f]), np.array([rows_f, rows_g, rows_g])).tolist()
-    scales = [_aligned_scale(x.real, y.real, z) for x, y, z in zip(ff, gg, ov)]
-    null = [x is None for x in scales]
-    rows_g = rows_g * np.array([0.0 if x is None else x for x in scales])[:, None]
+    ff, gg, ov = inner(np.array([rows_f, rows_g, rows_f]), np.array([rows_f, rows_g, rows_g]))
+    nf, ng = np.sqrt(ff.real), np.sqrt(gg.real)
+    null = (nf < 1e-14) | (ng < 1e-14)
+    mod = np.hypot(ov.real, ov.imag)
+    phase = np.ones_like(ov)  # conj(<f|g>) / |<f|g>|, and 1 where <f|g> is 0
+    np.divide(ov.real, mod, out=phase.real, where=mod != 0)
+    np.divide(-ov.imag, mod, out=phase.imag, where=mod != 0)
+    rows_g = rows_g * (np.divide(nf, ng, out=np.zeros_like(nf), where=~null) * phase)[:, None]
     columns = _frame(rows_f + rows_g, rows_f - rows_g)
-    if any(null):
-        columns[np.array(null)] = np.eye(d)
+    columns[null] = np.eye(d)
     return columns.reshape(f.shape + (d,))
 
 

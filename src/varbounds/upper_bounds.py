@@ -13,9 +13,10 @@ Two families:
 As in :mod:`varbounds.lower_bounds`, each formula evaluates every row of
 one :class:`~varbounds.moments.Instance` and returns a
 :class:`~varbounds.lower_bounds.BoundArrays`, and each ``*_bound`` returns
-the row of a one-row instance.  The positivity test and the reverse factor
-work along the last axis, so :mod:`varbounds.verify` applies the same rule
-to whole ensembles.
+the row of a one-row instance; :mod:`varbounds.verify` calls the same
+formulas on the instances of its random ensembles.  The positivity test
+and the reverse factor work along the last axis, and every square is
+``x * x``.
 
 An upper bound that cannot be formed (hypothesis violation, vanishing
 denominator) is returned with ``defined=False`` and the +inf sentinel
@@ -31,7 +32,7 @@ import numpy as np
 
 from .linalg import Observable, OrthonormalBasis, QuantumState
 from .lower_bounds import BoundArrays, BoundResult
-from .moments import Instance, MomentSet, coefficient_moduli, inner, pow2
+from .moments import Instance, MomentSet, coefficient_moduli, inner
 
 __all__ = [
     "ReverseFactor",
@@ -64,24 +65,10 @@ class ReverseFactor:
 
     @property
     def factor(self) -> float:
-        num, den = self._terms(lambda x: x ** 2)
+        """(M_a M_b + m_a m_b)^2 / (4 M_a M_b m_a m_b), the square taken as x * x."""
+        top = self.max_a * self.max_b + self.min_a * self.min_b
         with np.errstate(divide="ignore", invalid="ignore"):
-            return num / den
-
-    def pow_factor(self, where: np.ndarray) -> np.ndarray:
-        """:attr:`factor` on the rows of ``where`` (+inf elsewhere), its square rounded by ``pow``.
-
-        That is how a Python float is squared, so each row has the bits of
-        one pair of sequences (see :func:`varbounds.moments.pow2`); the
-        stacked :attr:`factor` squares elementwise, as :mod:`varbounds.verify`
-        does.
-        """
-        num, den = self._terms(pow2)
-        return np.divide(num, den, out=np.full(np.shape(den), np.inf), where=where)
-
-    def _terms(self, square):
-        num = square(self.max_a * self.max_b + self.min_a * self.min_b)
-        return num, 4.0 * self.max_a * self.max_b * self.min_a * self.min_b
+            return top * top / (4.0 * self.max_a * self.max_b * self.min_a * self.min_b)
 
     @classmethod
     def from_sequences(cls, c: np.ndarray, d: np.ndarray) -> "ReverseFactor":
@@ -92,21 +79,17 @@ class ReverseFactor:
         return cls(*ext)
 
 
-def _strictly_positive(seq: np.ndarray, scale=None) -> np.ndarray:
-    """Entries strictly positive at threshold 1e-12 of the largest entry, along the last axis.
+def _positive_extremes(top, low, scale=None):
+    """Sequences strictly positive at threshold 1e-12 of the largest entry, from their extremes.
 
-    ``scale`` (an upper bound on the sequence's unweighted deviations: the
-    largest eigenvalue deviation for the fidelity sequences, the Frobenius
-    norm of A - <A> for the basis coefficients) adds an absolute floor, so
-    that sequences made entirely of round-off dust near an eigenstate count
-    as violating the hypothesis, exactly like their exact-arithmetic zeros
+    ``top`` and ``low`` are the largest and smallest entries.  ``scale`` (an
+    upper bound on the sequence's unweighted deviations: the largest
+    eigenvalue deviation for the fidelity sequences, the Frobenius norm of
+    A - <A> for the basis coefficients) adds an absolute floor, so that
+    sequences made entirely of round-off dust near an eigenstate count as
+    violating the hypothesis, exactly like their exact-arithmetic zeros
     would.
     """
-    return _positive_extremes(seq.max(axis=-1), seq.min(axis=-1), scale)
-
-
-def _positive_extremes(top, low, scale=None):
-    """:func:`_strictly_positive` of sequences with largest entries ``top`` and smallest ``low``."""
     ok = low > POSITIVITY_RTOL * top
     # a scale is >= 0, so top > 1e-12 * scale already asks for top > 0
     ok &= top > (0.0 if scale is None else POSITIVITY_RTOL * scale)
@@ -122,9 +105,9 @@ def _reverse_product(kind: str, seqs: np.ndarray, scales, factor_name: str) -> B
     top, low = seqs.max(axis=-1), seqs.min(axis=-1)
     ok = _positive_extremes(top, low, scales).all(axis=0)
     rf = ReverseFactor(max_a=top[0], min_a=low[0], max_b=top[1], min_b=low[1])
-    omega = rf.pow_factor(ok)
+    omega = np.where(ok, rf.factor, np.inf)
     s = inner(*seqs)
-    value = np.multiply(omega, pow2(s), out=np.full(len(s), np.inf), where=ok)
+    value = np.multiply(omega, s * s, out=np.full(len(s), np.inf), where=ok)
     return BoundArrays.upper(kind, value, [(~ok, HYPOTHESIS_REASON)], **{
         factor_name: omega,
         "paired_sum": s,

@@ -116,7 +116,9 @@ def render_json_reference(obj) -> str:
 # The arithmetic of each bound before the bounds shared one set of moments,
 # plus the reverse basis bound's absolute positivity floor: each bound calls
 # the standalone moment functions itself and shares nothing with another
-# bound or with the library's Instance.  Values must agree bit for bit.
+# bound or with the library's Instance.  A square is x * x, the correctly
+# rounded one (Python's x ** 2 calls pow, which is not).  Values must agree
+# bit for bit.
 PURE_ONLY = ("basis_product", "basis_sum", "mp_sum_1", "mp_sum_2", "reverse_basis_product",
              "optimized_product", "optimized_sum")
 
@@ -140,8 +142,10 @@ def _positive(seq, scale):
 
 def _reverse_value(c, d):
     cmax, cmin, dmax, dmin = float(c.max()), float(c.min()), float(d.max()), float(d.min())
-    omega = (cmax * dmax + cmin * dmin) ** 2 / (4.0 * cmax * dmax * cmin * dmin)
-    return omega * float(np.dot(c, d)) ** 2
+    top = cmax * dmax + cmin * dmin
+    omega = top * top / (4.0 * cmax * dmax * cmin * dmin)
+    paired = float(np.dot(c, d))
+    return omega * (paired * paired)
 
 
 def _coefficient_moduli(state, a, b, columns):
@@ -175,14 +179,16 @@ def _aligned_columns(state, a, b):
 
 
 def _rs_product(state, a, b):
-    comm = commutator_expectation(state, a, b)
-    return abs(comm / 2.0) ** 2 + covariance(state, a, b) ** 2
+    half_comm = abs(commutator_expectation(state, a, b) / 2.0)
+    cov = covariance(state, a, b)
+    return half_comm * half_comm + cov * cov
 
 
 def _basis_product(state, a, b, columns=None):
     cols = np.eye(state.dim, dtype=np.complex128) if columns is None else columns
     aa, bb = _coefficient_moduli(state, a, b, cols)
-    return float(np.dot(aa, bb) ** 2)
+    paired = float(np.dot(aa, bb))
+    return paired * paired
 
 
 def _basis_sum(state, a, b, columns=None):
@@ -194,9 +200,9 @@ def _basis_sum(state, a, b, columns=None):
 def _fidelity_product(state, a, b):
     u, _ = _sorted_sequence(state, a)
     v, _ = _sorted_sequence(state, b)
-    asc = np.einsum("...i,...i->...", u, v)
-    alt = np.einsum("...i,...i->...", u, v[..., ::-1])
-    return max(float(asc**2), float(alt**2))
+    asc = float(np.einsum("...i,...i->...", u, v))
+    alt = float(np.einsum("...i,...i->...", u, v[..., ::-1]))
+    return max(asc * asc, alt * alt)
 
 
 def _parallelogram_sum(state, a, b):
@@ -220,7 +226,7 @@ def _mp_sum_2(state, a, b):
     psi = state.vector
     mv = (a.matrix + b.matrix) @ psi
     mean = np.vdot(psi, mv).real
-    return 0.5 * max(np.vdot(mv, mv).real - mean**2, 0.0)
+    return 0.5 * max(np.vdot(mv, mv).real - mean * mean, 0.0)
 
 
 def _reverse_fidelity_product(state, a, b):

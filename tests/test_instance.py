@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from oracles import REFERENCE_BOUNDS, reference_bound, reference_exact
 from varbounds.errors import DimensionMismatch, VarboundsError
 from varbounds.linalg import Observable, QuantumState, pauli_operators, spin1_operators
+from varbounds.lower_bounds import fidelity_product, pairing_sums, rs_product
 from varbounds.moments import Instance, covariance, variance
 from varbounds.random_ensembles import gue_hermitian, haar_state
 from varbounds.sweep import (
@@ -160,6 +162,36 @@ def test_a_stack_of_states_equals_each_state_on_its_own():
                 assert (_bits(values[i]), statuses[i]) == (_bits(value), status), (bid, a.dim, i)
 
 
+def test_a_stack_of_pairs_equals_each_pair_on_its_own():
+    # one observable pair per row, with pure vectors or density matrices: every row has the
+    # cells of its one-row instance
+    rng = np.random.default_rng(31)
+    for d in DIMS:
+        a, b = (Observable(gue_hermitian(rng, d, 4)) for _ in range(2))
+        rhos = np.array([_wishart(rng, d, rank).rho for rank in (d, 1, d, max(1, d - 1))])
+        for states, one in ((haar_state(rng, d, 4), QuantumState.pure), (rhos, QuantumState.mixed)):
+            stack = Instance(states, a, b)
+            for bid, bdef in BOUNDS.items():
+                if bdef.pure_only and not stack.is_pure:
+                    continue
+                values, statuses = bdef.compute(stack).cells()
+                for i, state in enumerate(states):
+                    alone = Instance(one(state), Observable(a.matrix[i]), Observable(b.matrix[i]))
+                    (value,), (status,) = bdef.compute(alone).cells()
+                    assert (_bits(values[i]), statuses[i]) == (_bits(value), status), (bid, d, i)
+
+
+def test_a_stack_of_pairs_has_one_pair_per_row():
+    rng = np.random.default_rng(32)
+    a, b = (Observable(gue_hermitian(rng, 2, 3)) for _ in range(2))
+    with pytest.raises(VarboundsError, match="one pair per row"):
+        Instance(haar_state(rng, 2, 2), a, b)
+    with pytest.raises(VarboundsError, match="one pair per row"):
+        Instance(haar_state(rng, 2, 3), a, Observable(gue_hermitian(rng, 2)))
+    with pytest.raises(VarboundsError, match="trace"):
+        Instance(np.array([np.eye(2) / 2, np.eye(2)]), a[:2], b[:2])
+
+
 def test_a_stack_holds_states_of_one_kind_and_dimension():
     sx, _, sz = pauli_operators()
     pure, mixed = QuantumState.pure([1.0, 0.0]), QuantumState.mixed(np.eye(2) / 2)
@@ -167,6 +199,22 @@ def test_a_stack_holds_states_of_one_kind_and_dimension():
         Instance([pure, mixed], sx, sz)
     with pytest.raises(DimensionMismatch):
         Instance([pure, QuantumState.pure([1.0, 0.0, 0.0])], sx, sz)
+
+
+def test_squares_are_correctly_rounded():
+    # Python's x ** 2 calls pow, which misrounds about one square in a thousand; the formulas
+    # square with x * x, which IEEE 754 rounds correctly: the exact square rounded to a double
+    rng = np.random.default_rng(2016)
+    a, b = (Observable(gue_hermitian(rng, 4)) for _ in range(2))
+    inst = Instance(haar_state(rng, 4, 10_000), a, b)
+    fid = fidelity_product(inst)
+    asc, alt = pairing_sums(inst.sequences.u, inst.sequences.v)
+    for operands, squares in ((inst.moments.cov, rs_product(inst).intermediates["covariance_term"]),
+                              (asc, fid.intermediates["ascending_value"]),
+                              (alt, fid.intermediates["opposed_value"])):
+        exact = [float(Fraction(x) ** 2) for x in operands.tolist()]
+        assert sum(x ** 2 != sq for x, sq in zip(operands.tolist(), exact)) >= 3  # pow's misses
+        assert squares.tolist() == exact
 
 
 def test_eigenstates_leave_the_reverse_basis_bound_undefined():

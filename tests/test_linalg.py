@@ -232,9 +232,78 @@ class TestObservable:
             Observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(NotHermitian):
             Observable(np.zeros(3))
-        with pytest.raises(VarboundsError, match="single matrix"):
-            Observable(np.zeros((2, 3, 3)))
+        with pytest.raises(VarboundsError, match="a matrix or a stack of matrices"):
+            Observable(np.zeros((2, 2, 3, 3)))
         assert calls == []
+
+
+class TestObservableStack:
+    """An (n, d, d) stack: one validation, one batched eigensolver call, each row with its own bits."""
+
+    def test_rows_have_the_bits_of_each_matrix_alone(self, rng, monkeypatch):
+        mats = np.array([random_hermitian(rng, 4) for _ in range(5)])
+        calls = counting_eigh(monkeypatch)
+        stack = Observable(mats)
+        assert (stack.dim, stack.eigenvalues.shape, stack.eigenvectors.shape) == (4, (5, 4), (5, 4, 4))
+        assert calls == [(5, 4, 4)]
+        for m, w, v in zip(mats, stack.eigenvalues, stack.eigenvectors):
+            one = Observable(m)
+            assert one.matrix.tobytes() == require_hermitian(m).tobytes()
+            assert (one.eigenvalues.tobytes(), one.eigenvectors.tobytes()) == (w.tobytes(), v.tobytes())
+
+    def test_rows_share_the_computed_spectrum(self, rng, monkeypatch):
+        stack = Observable(np.array([random_hermitian(rng, 3) for _ in range(6)]))
+        unread = stack[1::2]
+        stack.eigenvectors
+        calls = counting_eigh(monkeypatch)
+        for rows in (slice(0, None, 2), np.array([5, 0]), slice(2, 4)):
+            part = stack[rows]
+            assert part.matrix.tobytes() == stack.matrix[rows].tobytes()
+            assert part.eigenvalues.tobytes() == stack.eigenvalues[rows].tobytes()
+            assert part.eigenvectors.tobytes() == stack.eigenvectors[rows].tobytes()
+            assert not part.matrix.flags.writeable and not part.eigenvectors.flags.writeable
+        assert calls == []
+        # rows taken before the stack was diagonalized diagonalize themselves, with the same bits
+        assert unread.eigenvectors.tobytes() == stack.eigenvectors[1::2].tobytes()
+        assert calls == [(3, 3, 3)]
+
+    def test_shifted_stack(self, rng):
+        stack = Observable(np.array([random_hermitian(rng, 3) for _ in range(2)]))
+        assert_allclose(stack.shifted(0.5).eigenvalues, stack.eigenvalues + 0.5, atol=1e-12)
+
+    def test_only_a_stack_has_rows(self, rng):
+        with pytest.raises(VarboundsError, match="only a stack"):
+            Observable(random_hermitian(rng, 2))[0]
+
+
+class TestDensityRows:
+    """One validation for a density matrix alone and for a stack of them."""
+
+    def test_a_stack_is_validated_as_each_matrix_alone(self, rng):
+        g = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+        w = g @ g.conj().swapaxes(-1, -2)
+        rhos = w / np.trace(w, axis1=-2, axis2=-1).real[:, None, None]
+        stack = linalg.density_rows(rhos)
+        for r, row in zip(rhos, stack):
+            assert QuantumState.mixed(r).rho.tobytes() == row.tobytes()
+
+    def test_one_bad_row_rejects_the_stack(self, rng):
+        good = np.eye(2) / 2
+        u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        for bad, match in ((np.diag([0.7, 0.7]), "trace 1.4"),
+                           (np.diag([1.5, -0.5]), "eigenvalue -5.000e-01")):
+            with pytest.raises(VarboundsError, match=match):
+                linalg.density_rows(np.array([good, bad, good]))
+        for low, accepted in ((-5e-11, True), (-2e-10, False)):
+            rho = u @ np.diag([low, 0.4, 0.6 - low]) @ u.conj().T
+            stack = np.array([np.eye(3) / 3, rho])
+            if accepted:
+                assert linalg.density_rows(stack).shape == (2, 3, 3)
+            else:
+                with pytest.raises(VarboundsError, match="eigenvalue -2.000e-10"):
+                    linalg.density_rows(stack)
+        with pytest.raises(NotHermitian):
+            linalg.density_rows(np.array([[[0.5, 0.1], [0.0, 0.5]]]))
 
 
 class TestRequireHermitian:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -15,11 +16,14 @@ from varbounds.lower_bounds import (
     basis_sum_bound,
     fidelity_product_bound,
     mp_sum_bound_1,
+    mp_sum_bound_2,
     parallelogram_sum_bound,
     rs_product_bound,
 )
+from varbounds.moments import moments
 from varbounds.reporting import render_json
 from varbounds.upper_bounds import (
+    dw_deviation_sum_bound,
     dw_variance_sum_bound,
     reverse_basis_product_bound,
     reverse_fidelity_product_bound,
@@ -62,9 +66,15 @@ def test_deterministic_reports():
     assert render_json(run_verification(1000, [2, 3, 4, 6], seed=5)) == first
 
 
+def _bits(x):
+    """The IEEE bit pattern of a float (+inf for an undefined bound)."""
+    return int(np.float64(x).view(np.uint64))
+
+
 def test_engine_matches_scalar_api():
-    # both paths diagonalize with LAPACK, so this checks the batched bound
-    # formulas against the scalar API's, not one eigensolver against another
+    # verify's values come from the bound formulas on its stacked instances (one per half,
+    # with one observable pair per row), so each row has the bits of the *_bound API on its
+    # own state and pair
     for d in (2, 3, 4, 6):
         _check_engine_against_scalar_api(d)
 
@@ -74,43 +84,45 @@ def _check_engine_against_scalar_api(d):
     data = _verify_dimension(d, 24, seed=11, acc=acc)
     assert not acc.violations
     for i in range(24):
+        half_row = i // 2  # pure states on the even rows, density matrices on the odd ones
         if data["pure"][i]:
             state = QuantumState.pure(data["psi"][i])
         else:
-            state = QuantumState.mixed(data["rho"][i])
+            state = QuantumState.mixed(data["rho"][half_row])
         a = Observable(data["a"][i])
         b = Observable(data["b"][i])
 
-        assert rs_product_bound(state, a, b).value == pytest.approx(
-            data["rs"][i], abs=1e-11
-        )
-        assert fidelity_product_bound(state, a, b).value == pytest.approx(
-            data["fidelity_product"][i], abs=1e-11
-        )
-        assert parallelogram_sum_bound(state, a, b).value == pytest.approx(
-            data["parallelogram_sum"][i], abs=1e-11
-        )
+        ms = moments(state, a, b)
+        assert _bits(ms.var_a * ms.var_b) == _bits(data["product"][i])
+        assert _bits(ms.var_a + ms.var_b) == _bits(data["total"][i])
         rev = reverse_fidelity_product_bound(state, a, b)
-        assert rev.defined == bool(data["reverse_defined"][i])
-        if rev.defined:
-            assert rev.value == pytest.approx(data["reverse_fidelity"][i], rel=1e-9)
         dw = dw_variance_sum_bound(state, a, b)
-        assert dw.defined == bool(data["dw_defined"][i])
-        if dw.defined:
-            assert dw.value == pytest.approx(data["dw_variance"][i], abs=1e-9)
+        assert (rev.defined, dw.defined) == (data["reverse_defined"][i], data["dw_defined"][i])
+        for key, res in {
+            "rs": rs_product_bound(state, a, b),
+            "fidelity_product": fidelity_product_bound(state, a, b),
+            "parallelogram_sum": parallelogram_sum_bound(state, a, b),
+            "reverse_fidelity": rev,
+            "dw_deviation": dw_deviation_sum_bound(state, a, b),
+            "dw_variance": dw,
+        }.items():
+            assert _bits(res.value) == _bits(data[key][i]), (d, i, key)
+        if rev.defined:
+            assert _bits(rev.intermediates["omega"]) == _bits(data["omega"][i])
 
         if data["pure"][i]:
             basis = OrthonormalBasis(data["basis"][i])
-            assert basis_product_bound(state, a, b, basis).value == pytest.approx(
-                data["basis_product"][i], abs=1e-10
-            )
-            assert basis_sum_bound(state, a, b, basis).value == pytest.approx(
-                data["basis_sum"][i], abs=1e-10
-            )
             rb = reverse_basis_product_bound(state, a, b, basis)
-            assert rb.defined == bool(data["reverse_basis_defined"][i])
-            if rb.defined:
-                assert rb.value == pytest.approx(data["reverse_basis"][i], rel=1e-9)
+            assert rb.defined == data["reverse_basis_defined"][half_row]
+            for key, res in {
+                "basis_product": basis_product_bound(state, a, b, basis),
+                "basis_sum": basis_sum_bound(state, a, b, basis),
+                "eigenbasis_product": basis_product_bound(state, a, b, b.eigenbasis()),
+                "reverse_basis": rb,
+                "mp1": mp_sum_bound_1(state, a, b),
+                "mp2": mp_sum_bound_2(state, a, b),
+            }.items():
+                assert _bits(res.value) == _bits(data[key][half_row]), (d, i, key)
 
 
 def test_engine_mp1_matches_optimized_baseline():
@@ -121,7 +133,20 @@ def test_engine_mp1_matches_optimized_baseline():
         a = Observable(data["a"][i])
         b = Observable(data["b"][i])
         res = mp_sum_bound_1(state, a, b)
-        assert res.value == pytest.approx(data["mp1"][i], abs=1e-8)
+        assert res.value == pytest.approx(data["mp1"][i // 2], abs=1e-8)
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "verify.json"
+
+
+@pytest.mark.parametrize("seed", [0, 21, 42, 63])
+def test_reports_match_the_benchmark_reference(seed):
+    # what the benchmark's ensemble check asks of each call, read from its reference counts
+    want = json.loads(REFERENCE.read_text())["seeds"][str(seed)]
+    report = run_verification(1000, [2, 3, 4, 6], seed)
+    assert report.ok and report.violations == []
+    assert report.applicable == want["applicable"]
+    assert report.undefined_fraction == want["undefined_fraction"]
 
 
 def test_json_shape():
