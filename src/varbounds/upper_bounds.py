@@ -70,14 +70,6 @@ class ReverseFactor:
         with np.errstate(divide="ignore", invalid="ignore"):
             return top * top / (4.0 * self.max_a * self.max_b * self.min_a * self.min_b)
 
-    @classmethod
-    def from_sequences(cls, c: np.ndarray, d: np.ndarray) -> "ReverseFactor":
-        """Extrema along the last axis; Python floats for one pair of sequences."""
-        ext = (c.max(axis=-1), c.min(axis=-1), d.max(axis=-1), d.min(axis=-1))
-        if c.ndim == 1:
-            ext = tuple(float(x) for x in ext)
-        return cls(*ext)
-
 
 def _positive_extremes(top, low, scale=None):
     """Sequences strictly positive at threshold 1e-12 of the largest entry, from their extremes.
