@@ -207,13 +207,20 @@ def _row_values(inst: Instance) -> dict:
     ms = inst.moments
     rev, dw = reverse_fidelity_product(inst), dw_variance_sum(inst)
     return {
-        "product": ms.var_a * ms.var_b, "total": ms.var_a + ms.var_b, "cov": ms.cov,
-        "std_product": ms.std_a * ms.std_b, "deviation_sum": ms.std_a + ms.std_b,
-        "rs": rs_product(inst).value, "fidelity_product": fidelity_product(inst).value,
+        "product": ms.var_a * ms.var_b,
+        "total": ms.var_a + ms.var_b,
+        "cov": ms.cov,
+        "std_product": ms.std_a * ms.std_b,
+        "deviation_sum": ms.std_a + ms.std_b,
+        "rs": rs_product(inst).value,
+        "fidelity_product": fidelity_product(inst).value,
         "parallelogram_sum": parallelogram_sum(inst).value,
-        "reverse_fidelity": rev.value, "omega": rev.intermediates["omega"], "reverse_defined": rev.defined,
-        # the two Dunkl-Williams bounds are undefined on the same rows
-        "dw_deviation": dw_deviation_sum(inst).value, "dw_variance": dw.value, "dw_defined": dw.defined,
+        "reverse_fidelity": rev.value,
+        "omega": rev.intermediates["omega"],
+        "reverse_defined": rev.defined,
+        "dw_deviation": dw_deviation_sum(inst).value,
+        "dw_variance": dw.value,
+        "dw_defined": dw.defined,  # the two Dunkl-Williams bounds are undefined on the same rows
     }
 
 
@@ -221,10 +228,14 @@ def _pure_values(inst: Instance, basis: np.ndarray) -> dict:
     """The pure-state bounds over the rows of ``inst``, in the bases ``basis`` and in B's eigenbasis."""
     rev = reverse_basis_product(inst, basis)
     return {
-        "basis_product": basis_product(inst, basis).value, "basis_sum": basis_sum(inst, basis).value,
+        "basis_product": basis_product(inst, basis).value,
+        "basis_sum": basis_sum(inst, basis).value,
         "eigenbasis_product": basis_product(inst, inst.b.eigenvectors).value,
-        "reverse_basis": rev.value, "lambda": rev.intermediates["lambda"],
-        "reverse_basis_defined": rev.defined, "mp1": mp_sum_1(inst).value, "mp2": mp_sum_2(inst).value,
+        "reverse_basis": rev.value,
+        "lambda": rev.intermediates["lambda"],
+        "reverse_basis_defined": rev.defined,
+        "mp1": mp_sum_1(inst).value,
+        "mp2": mp_sum_2(inst).value,
     }
 
 
