@@ -21,9 +21,9 @@ pair per row (two stacked :class:`~varbounds.linalg.Observable` objects,
 diagonalized in one eigensolver call each, with the API's phase
 convention).  The formulas of :mod:`varbounds.lower_bounds` and
 :mod:`varbounds.upper_bounds` evaluate all rows of an instance at once, and
-their values are put back in index order before they are recorded, so the
-checks, their counts and the order of any violations do not depend on the
-split.  A row has the bits of the scalar ``*_bound`` API on its own state
+their values are put back in index order before they are recorded (the
+pure-state checks run over the pure rows, in index order), so the checks,
+their counts and the order of any violations do not depend on the split.  A row has the bits of the scalar ``*_bound`` API on its own state
 and pair; a test pins that.  This module holds no moment or bound formula:
 it draws, builds instances, compares and counts.  The phase and shift
 spot-checks build instances from the transformed inputs; the relabel check
