@@ -1,7 +1,8 @@
 """Command-line front end: compute, sweep, verify, optimize.
 
 Exit codes: 0 on success, 1 when verification finds an invariant violation,
-2 for usage/config errors.  ``VARBOUNDS_OUT`` supplies a default output
+2 for usage/config errors, among them a ``verify --n`` or ``--dims`` that
+``run_verification`` would reject.  ``VARBOUNDS_OUT`` supplies a default output
 directory for bare ``--out`` file names.
 
 ``main(argv)`` can also be called in-process, for example from a notebook
@@ -46,6 +47,29 @@ _OBJECTIVES = {
 def _add_io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="json")
     parser.add_argument("--out", default=None, help="output path (stdout when omitted)")
+
+
+def _instance_count(text: str) -> int:
+    """``verify --n``: an integer >= 1, or a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
+def _dimensions(text: str) -> list:
+    """``verify --dims``: integers >= 2, comma or space separated, or a usage error."""
+    try:
+        dims = [int(t) for t in text.replace(",", " ").split()]
+    except ValueError:
+        dims = []
+    if not dims or min(dims) < 2:
+        raise argparse.ArgumentTypeError(
+            f"expected integers >= 2, comma or space separated, got {text!r}")
+    return dims
 
 
 def _read_config(path: str) -> dict:
@@ -125,8 +149,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    dims = [int(t) for t in args.dims.replace(",", " ").split()]
-    report = run_verification(args.n, dims, args.seed if args.seed is not None else 0)
+    report = run_verification(args.n, args.dims, args.seed if args.seed is not None else 0)
     text = emit(report, args.format)
     _write(text, args.out)
     if not report.ok:
@@ -180,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="random-ensemble invariant verification")
-    p.add_argument("--n", type=int, default=1000, help="instances per dimension")
-    p.add_argument("--dims", default="2,3,4,6")
+    p.add_argument("--n", type=_instance_count, default=1000, help="instances per dimension")
+    p.add_argument("--dims", type=_dimensions, default="2,3,4,6")
     p.add_argument("--seed", type=int, default=0)
     _add_io_flags(p)
     p.set_defaults(func=_cmd_verify)

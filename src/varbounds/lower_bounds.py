@@ -26,10 +26,9 @@ runs a numerical search; the basis-optimized bounds live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from ._record import Record
 from .errors import MixedStateUnsupported
 from .linalg import Observable, OrthonormalBasis, QuantumState
 from .moments import (  # fidelity_weights and sorted_weighted are re-exported
@@ -59,26 +58,29 @@ __all__ = [
 INF = float("inf")
 
 
-@dataclass
-class BoundResult:
-    """A bound's value plus its definedness status and audit intermediates."""
+class BoundResult(Record):
+    """A bound's value plus its definedness status and audit intermediates.
 
-    kind: str
-    value: float
-    defined: bool = True
-    reason: str | None = None
-    baseline: bool = False
-    intermediates: dict = field(default_factory=dict)
+    An undefined bound needs a reason, and its value is +inf.
+    """
 
-    def __post_init__(self):
-        if not self.defined:
-            if self.reason is None:
+    _fields = ("kind", "value", "defined", "reason", "baseline", "intermediates")
+
+    def __init__(self, kind: str, value: float, defined: bool = True, reason: str | None = None,
+                 baseline: bool = False, intermediates: dict | None = None):
+        if not defined:
+            if reason is None:
                 raise ValueError("undefined bound needs a reason")
-            self.value = INF
+            value = INF
+        self.kind = kind
+        self.value = value
+        self.defined = defined
+        self.reason = reason
+        self.baseline = baseline
+        self.intermediates = {} if intermediates is None else intermediates
 
 
-@dataclass
-class BoundArrays:
+class BoundArrays(Record):
     """One bound over the rows of an instance.
 
     ``value`` holds a float per row and +inf where the bound is undefined.
@@ -87,15 +89,17 @@ class BoundArrays:
     defined.  Array intermediates have one entry (or row) per row.
     """
 
-    kind: str
-    value: np.ndarray
-    reason: np.ndarray | None = None
-    baseline: bool = False
-    intermediates: dict = field(default_factory=dict)
+    _fields = ("kind", "value", "reason", "baseline", "intermediates")
 
-    def __post_init__(self):
-        if self.reason is not None:
-            self.value = np.where(self.defined, self.value, INF)
+    def __init__(self, kind: str, value: np.ndarray, reason: np.ndarray | None = None,
+                 baseline: bool = False, intermediates: dict | None = None):
+        self.kind = kind
+        self.value = value
+        self.reason = reason
+        if reason is not None:
+            self.value = np.where(self.defined, value, INF)
+        self.baseline = baseline
+        self.intermediates = {} if intermediates is None else intermediates
 
     @classmethod
     def upper(cls, kind: str, value: np.ndarray, cases, **intermediates) -> "BoundArrays":

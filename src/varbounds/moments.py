@@ -23,11 +23,11 @@ rounded and the same in a stack as alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
+from ._record import FrozenRecord
 from .errors import DimensionMismatch, MixedStateUnsupported, NumericalConsistencyError, VarboundsError
 from .linalg import Observable, OrthonormalBasis, QuantumState, check_dims, density_rows, unit_rows
 
@@ -69,21 +69,19 @@ def first_row(x):
     return row.item() if np.ndim(row) == 0 else row
 
 
-@dataclass(frozen=True)
-class MomentSet:
+class MomentSet(FrozenRecord):
     """First and second moments of a pair of observables in one state.
 
     The fields are floats for one state (:func:`moments`) and arrays over
     the rows for an :class:`Instance`.
     """
 
-    mean_a: float
-    mean_b: float
-    var_a: float
-    var_b: float
-    cov: float
-    comm_expect: complex
-    anticomm_expect: float
+    _fields = ("mean_a", "mean_b", "var_a", "var_b", "cov", "comm_expect", "anticomm_expect")
+
+    def __init__(self, mean_a: float, mean_b: float, var_a: float, var_b: float, cov: float,
+                 comm_expect: complex, anticomm_expect: float):
+        self.__dict__.update(mean_a=mean_a, mean_b=mean_b, var_a=var_a, var_b=var_b, cov=cov,
+                             comm_expect=comm_expect, anticomm_expect=anticomm_expect)
 
     @cached_property
     def std_a(self) -> float:
@@ -244,8 +242,7 @@ def sorted_weighted(values: np.ndarray, weights: np.ndarray):
     return np.take_along_axis(raw, order, axis=-1), order
 
 
-@dataclass(frozen=True)
-class SortedWeightSequences:
+class SortedWeightSequences(FrozenRecord):
     """Fidelity-weighted eigenvalue deviations, sorted ascending.
 
     ``u[i] = (a_i - <A>) * sqrt(F_i)`` over the eigenbasis of A (same for v
@@ -254,10 +251,10 @@ class SortedWeightSequences:
     :class:`Instance`.
     """
 
-    u: np.ndarray
-    v: np.ndarray
-    u_indices: np.ndarray
-    v_indices: np.ndarray
+    _fields = ("u", "v", "u_indices", "v_indices")
+
+    def __init__(self, u: np.ndarray, v: np.ndarray, u_indices: np.ndarray, v_indices: np.ndarray):
+        self.__dict__.update(u=u, v=v, u_indices=u_indices, v_indices=v_indices)
 
 
 class Instance:
@@ -410,4 +407,4 @@ def coefficient_moduli(inst: Instance, basis=None) -> np.ndarray:
 def moments(state: QuantumState, a: Observable, b: Observable) -> MomentSet:
     """All moments the bound formulas need, computed in one pass."""
     ms = Instance(state, a, b).moments
-    return MomentSet(**{f.name: first_row(getattr(ms, f.name)) for f in fields(ms)})
+    return MomentSet(*[first_row(getattr(ms, name)) for name in MomentSet._fields])

@@ -26,10 +26,10 @@ one-row instance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import MixedStateUnsupported
 from .linalg import Observable, OrthonormalBasis, QuantumState, check_orthonormal
 from .lower_bounds import BoundArrays, basis_product, basis_sum
@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class OptimizationReport:
+class OptimizationReport(Record):
     """A basis optimum: its value, the witness basis and the witness's name.
 
     ``mode`` is ``max`` for the lower bounds and ``min`` for the reverse
@@ -55,15 +54,17 @@ class OptimizationReport:
     instance: an array of values and a stack of column matrices.
     """
 
-    best_value: float
-    best_basis: OrthonormalBasis
-    mode: str
-    witness: str
-
+    _fields = ("best_value", "best_basis", "mode", "witness")
     # Not fields: the benchmark's search tracer (bench/layers.py) still reads
     # them.  They go with ROADMAP item 2's search re-mix and metric clean-up.
     evaluations = 0
     converged = True
+
+    def __init__(self, best_value: float, best_basis: OrthonormalBasis, mode: str, witness: str):
+        self.best_value = best_value
+        self.best_basis = best_basis
+        self.mode = mode
+        self.witness = witness
 
 
 def _frame(u: np.ndarray, v: np.ndarray) -> np.ndarray:

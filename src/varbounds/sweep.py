@@ -30,11 +30,11 @@ witness basis of :func:`varbounds.optimize.optimize_product_bound` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__ as _pkg_version
+from ._record import FrozenRecord, Record
 from .errors import ConfigError, UnknownBoundId, UnknownPreset
 from .linalg import (
     Observable,
@@ -98,12 +98,13 @@ def state_family(name: str):
         raise ConfigError(f"unknown state family {name!r}") from None
 
 
-@dataclass(frozen=True)
-class _BoundDef:
-    target: str  # "product" | "sum" | "dev_sum"
-    upper: bool
-    pure_only: bool
-    compute: object  # (Instance) -> BoundArrays; the basis bounds in the standard basis
+class _BoundDef(FrozenRecord):
+    _fields = ("target", "upper", "pure_only", "compute")
+
+    def __init__(self, target: str, upper: bool, pure_only: bool, compute):
+        # target: "product" | "sum" | "dev_sum"; compute: (Instance) -> BoundArrays,
+        # the basis bounds in the standard basis
+        self.__dict__.update(target=target, upper=upper, pure_only=pure_only, compute=compute)
 
 
 BOUNDS = {
@@ -165,28 +166,37 @@ def named_observable(name: str) -> Observable:
         raise ConfigError(f"unknown named observable {name!r}") from None
 
 
-@dataclass
-class SweepSpec:
-    """What to sweep: preset or custom family/observables, grid, bounds."""
+class SweepSpec(Record):
+    """What to sweep: preset or custom family/observables, grid, bounds.
 
-    preset: str = "custom"
-    theta_start: float = 0.0
-    theta_stop: float = math.pi
-    theta_count: int = 181
-    bounds: tuple | None = None  # None: preset defaults; () is exact-only
-    observables: tuple | None = None  # pair of Observables, custom presets only
-    state_family: str | None = None
+    ``bounds`` None takes the preset's defaults and () is exact-only;
+    ``observables`` is a pair of Observables, for custom presets only.
+    """
 
-    def __post_init__(self):
-        if self.theta_count < 2:
+    _fields = ("preset", "theta_start", "theta_stop", "theta_count", "bounds", "observables",
+               "state_family")
+
+    def __init__(self, preset: str = "custom", theta_start: float = 0.0,
+                 theta_stop: float = math.pi, theta_count: int = 181, bounds: tuple | None = None,
+                 observables: tuple | None = None, state_family: str | None = None):
+        if theta_count < 2:
             raise ConfigError("theta grid needs at least 2 points")
+        self.preset = preset
+        self.theta_start = theta_start
+        self.theta_stop = theta_stop
+        self.theta_count = theta_count
+        self.bounds = bounds
+        self.observables = observables
+        self.state_family = state_family
 
 
-@dataclass
-class SweepTable:
-    columns: tuple
-    rows: list
-    metadata: dict
+class SweepTable(Record):
+    _fields = ("columns", "rows", "metadata")
+
+    def __init__(self, columns: tuple, rows: list, metadata: dict):
+        self.columns = columns
+        self.rows = rows
+        self.metadata = metadata
 
     def column(self, name: str) -> np.ndarray:
         """A column as floats with NaN standing in for undefined cells."""

@@ -26,10 +26,9 @@ silently changes the paired sum and can falsify the inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import FrozenRecord
 from .linalg import Observable, OrthonormalBasis, QuantumState
 from .lower_bounds import BoundArrays, BoundResult
 from .moments import Instance, MomentSet, coefficient_moduli, inner
@@ -50,18 +49,17 @@ NULL_DEVIATION_REASON = "non-null deviation vectors required (a variance vanishe
 CORRELATED_REASON = "vacuous at perfect correlation (denominator below tolerance)"
 
 
-@dataclass(frozen=True)
-class ReverseFactor:
+class ReverseFactor(FrozenRecord):
     """Extrema of two positive sequences and the reverse-CS multiplier.
 
     The fields are floats for a single pair of sequences and arrays over
     the leading axes for stacks of them.
     """
 
-    max_a: float
-    min_a: float
-    max_b: float
-    min_b: float
+    _fields = ("max_a", "min_a", "max_b", "min_b")
+
+    def __init__(self, max_a: float, min_a: float, max_b: float, min_b: float):
+        self.__dict__.update(max_a=max_a, min_a=min_a, max_b=max_b, min_b=min_b)
 
     @property
     def factor(self) -> float:

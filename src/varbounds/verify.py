@@ -50,11 +50,11 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__ as _pkg_version
+from ._record import FrozenRecord, Record
 from .linalg import Observable
 from .lower_bounds import (
     basis_product,
@@ -118,21 +118,25 @@ UNDEFINED_TRACKED = (
 )
 
 
-@dataclass(frozen=True)
-class Violation:
-    check: str
-    digest: str
-    slack: float
+class Violation(FrozenRecord):
+    _fields = ("check", "digest", "slack")
+
+    def __init__(self, check: str, digest: str, slack: float):
+        self.__dict__.update(check=check, digest=digest, slack=slack)
 
 
-@dataclass
-class VerificationReport:
-    instances: int
-    violations: list
-    undefined_fraction: dict
-    max_slack: dict
-    applicable: dict
-    metadata: dict = field(default_factory=dict)
+class VerificationReport(Record):
+    _fields = ("instances", "violations", "undefined_fraction", "max_slack", "applicable",
+               "metadata")
+
+    def __init__(self, instances: int, violations: list, undefined_fraction: dict,
+                 max_slack: dict, applicable: dict, metadata: dict | None = None):
+        self.instances = instances
+        self.violations = violations
+        self.undefined_fraction = undefined_fraction
+        self.max_slack = max_slack
+        self.applicable = applicable
+        self.metadata = {} if metadata is None else metadata
 
     @property
     def ok(self) -> bool:

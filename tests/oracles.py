@@ -5,14 +5,50 @@ import math
 
 import numpy as np
 
-from varbounds.moments import (
-    commutator_expectation,
-    covariance,
-    deviation_vector,
-    expectation,
-    variance,
-)
 from varbounds.upper_bounds import CORRELATED_REASON, HYPOTHESIS_REASON, NULL_DEVIATION_REASON
+
+
+# -- moments, one state at a time ---------------------------------------------------
+# Written here rather than imported from varbounds.moments, so that an error in
+# the library's moments cannot hide in the oracle that judges them: psi^dagger M psi
+# with np.vdot, tr(rho M) as one einsum, and every square x * x.
+
+def _expect(state, m) -> complex:
+    """<M> for any square matrix M: psi^dagger M psi, or tr(rho M)."""
+    if state.is_pure:
+        return complex(np.vdot(state.vector, m @ state.vector))
+    return complex(np.einsum("ij,ji->", state.rho, m))
+
+
+def expectation(state, a) -> float:
+    return _expect(state, a.matrix).real
+
+
+def variance(state, a) -> float:
+    """<A^2> - <A>^2, with <A^2> = ||A psi||^2 for a pure state; round-off negatives read 0."""
+    if state.is_pure:
+        av = a.matrix @ state.vector
+        second = np.vdot(av, av).real
+    else:
+        second = _expect(state, a.matrix @ a.matrix).real
+    mean = expectation(state, a)
+    return max(float(second - mean * mean), 0.0)
+
+
+def covariance(state, a, b) -> float:
+    """Re<AB> - <A><B>, which is <{A,B}>/2 - <A><B>."""
+    return _expect(state, a.matrix @ b.matrix).real - expectation(state, a) * expectation(state, b)
+
+
+def commutator_expectation(state, a, b) -> complex:
+    """<[A,B]> = <AB> - conj(<AB>) = 2i Im<AB>."""
+    return 2j * _expect(state, a.matrix @ b.matrix).imag
+
+
+def deviation_vector(state, a) -> np.ndarray:
+    """(A - <A>) psi of a pure state."""
+    psi = state.vector
+    return a.matrix @ psi - expectation(state, a) * psi
 
 
 def _d2_coefficient_moduli(f, g, th, ph):

@@ -198,6 +198,18 @@ class TestCli:
         assert rc == 1
         assert "violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--dims", "2,x"), ("--dims", "1"), ("--dims", ","),
+                                            ("--n", "0")])
+    def test_bad_verify_argument_is_a_usage_error(self, capsys, monkeypatch, flag, value):
+        monkeypatch.setattr(cli, "run_verification", None)  # never reached
+        code, out, err = _run(["verify", flag, value], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"varbounds verify: error: argument {flag}: expected "
+            + ("an integer >= 1" if flag == "--n" else "integers >= 2, comma or space separated")
+            + f", got {value!r}")
+        assert "Traceback" not in err
+
 
 def _run(argv, capsys):
     """Exit code, stdout and stderr of ``main(argv)``; a usage exit counts as its code."""

@@ -163,15 +163,26 @@ def test_json_shape():
     assert d["metadata"]["rng"] == "pcg64"
 
 
+def _loaded_with_the_cli(names) -> str:
+    """Which of ``names`` are in ``sys.modules`` after ``import numpy, varbounds.cli`` in a new process."""
+    src = str(Path(varbounds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = f"import sys, numpy, varbounds.cli; print(sorted({set(names)!r} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    return out.stdout.strip()
+
+
 def test_importing_the_cli_does_not_load_openssl():
     # hashlib (and with it OpenSSL, about 3.6 MiB of resident memory) is
     # imported only when a violation is digested
-    src = str(Path(varbounds.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, numpy, varbounds.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "[]"
+    assert _loaded_with_the_cli({"hashlib", "_hashlib"}) == "[]"
+
+
+def test_importing_the_cli_generates_no_record_code():
+    # the record types are plain classes: the dataclasses module would write
+    # and compile their methods on every import
+    assert _loaded_with_the_cli({"dataclasses"}) == "[]"
 
 
 def test_merge_equals_recording_into_one():
