@@ -1,8 +1,8 @@
 """Command-line front end: compute, sweep, verify, optimize.
 
 Exit codes: 0 on success, 1 when verification finds an invariant violation,
-2 for usage/config errors, among them a ``verify --n`` or ``--dims`` that
-``run_verification`` would reject.  ``VARBOUNDS_OUT`` supplies a default output
+2 for usage/config errors, among them a ``verify --n``, ``--dims`` or
+``--seed`` that ``run_verification`` would reject.  ``VARBOUNDS_OUT`` supplies a default output
 directory for bare ``--out`` file names.
 
 ``main(argv)`` can also be called in-process, for example from a notebook
@@ -49,15 +49,17 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output path (stdout when omitted)")
 
 
-def _instance_count(text: str) -> int:
-    """``verify --n``: an integer >= 1, or a usage error."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return n
+def _at_least(low: int):
+    """An argparse type: an integer >= ``low``, or a usage error (``verify --n`` and ``--seed``)."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return n
+    return parse
 
 
 def _dimensions(text: str) -> list:
@@ -203,9 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="random-ensemble invariant verification")
-    p.add_argument("--n", type=_instance_count, default=1000, help="instances per dimension")
+    p.add_argument("--n", type=_at_least(1), default=1000, help="instances per dimension")
     p.add_argument("--dims", type=_dimensions, default="2,3,4,6")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     _add_io_flags(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -143,7 +143,10 @@ def load_state(cfg: dict) -> QuantumState:
         raise ConfigError("config needs a [state] section")
     if "vector" in sec:
         v = parse_vector(sec["vector"])
-        return QuantumState.pure(v / np.linalg.norm(v))
+        nrm = np.linalg.norm(v)
+        if not 0.0 < nrm < math.inf:  # also NaN
+            raise ConfigError(f"state vector needs a finite, nonzero norm, got {float(nrm)!r}")
+        return QuantumState.pure(v / nrm)
     if "rho" in sec:
         return QuantumState.mixed(parse_matrix(sec["rho"]))
     if "bloch" in sec:
@@ -154,8 +157,8 @@ def load_state(cfg: dict) -> QuantumState:
     if "family" in sec:
         _, build = state_family(sec["family"])
         theta = _get_float(sec, "theta", math.nan)
-        if math.isnan(theta):
-            raise ConfigError("state family needs a theta value")
+        if not math.isfinite(theta):
+            raise ConfigError("state family needs a finite theta value")
         return QuantumState.pure(build([theta])[0])
     raise ConfigError("[state] needs one of: vector, rho, bloch, family")
 

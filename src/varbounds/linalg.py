@@ -39,7 +39,7 @@ def _frozen(a: np.ndarray, fresh: bool = False) -> np.ndarray:
 def check_orthonormal(columns: np.ndarray) -> None:
     """Raise unless each square column matrix, over the leading axes, has orthonormal columns."""
     gram = np.matmul(columns.conj().swapaxes(-1, -2), columns)
-    if np.abs(gram - np.eye(columns.shape[-1])).max() > ORTHONORMALITY_TOL:
+    if not np.abs(gram - np.eye(columns.shape[-1])).max() <= ORTHONORMALITY_TOL:  # NaN fails too
         raise VarboundsError("basis columns are not orthonormal")
 
 
@@ -139,14 +139,15 @@ def unit_rows(vectors) -> np.ndarray:
     """Each row of an (n, d) stack of state vectors over its norm, which must be 1 within 1e-12.
 
     ||v||^2 is the BLAS ddot of the real parts plus that of the imaginary parts, the sum
-    ``np.linalg.norm`` takes, so a row has the bits of ``v / np.linalg.norm(v)``."""
+    ``np.linalg.norm`` takes, so a row has the bits of ``v / np.linalg.norm(v)``.  A row
+    with a NaN or infinite entry is rejected."""
     v = np.ascontiguousarray(vectors, dtype=np.complex128)
-    parts = v.view(np.float64).reshape(*v.shape, 2).transpose(2, 0, 1)[..., None]  # real, imaginary
-    dots = np.matmul(parts.swapaxes(-1, -2), parts)  # ddot per row and part, shape (2, n, 1, 1)
-    nrm = np.sqrt(dots[0] + dots[1])[:, 0]
-    far = np.abs(nrm - 1.0) > 1e-12
+    parts = v.view(np.float64).reshape(*v.shape, 2).transpose(2, 0, 1)  # real, imaginary
+    dots = np.vecdot(parts, parts)  # per row and part, shape (2, n)
+    nrm = np.sqrt(dots[0] + dots[1])[:, None]
+    far = ~(np.abs(nrm - 1.0) <= 1e-12)
     if far.any():
-        raise VarboundsError(f"pure state norm {nrm[far][0]!r} is not 1 within 1e-12")
+        raise VarboundsError(f"pure state norm {float(nrm[far][0])!r} is not 1 within 1e-12")
     return v / nrm
 
 

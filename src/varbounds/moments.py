@@ -23,11 +23,9 @@ rounded and the same in a stack as alone.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
-from ._record import FrozenRecord
+from ._record import FrozenRecord, lazy
 from .errors import DimensionMismatch, MixedStateUnsupported, NumericalConsistencyError, VarboundsError
 from .linalg import Observable, OrthonormalBasis, QuantumState, check_dims, density_rows, unit_rows
 
@@ -83,15 +81,15 @@ class MomentSet(FrozenRecord):
         self.__dict__.update(mean_a=mean_a, mean_b=mean_b, var_a=var_a, var_b=var_b, cov=cov,
                              comm_expect=comm_expect, anticomm_expect=anticomm_expect)
 
-    @cached_property
+    @lazy
     def std_a(self) -> float:
         return np.sqrt(self.var_a)
 
-    @cached_property
+    @lazy
     def std_b(self) -> float:
         return np.sqrt(self.var_b)
 
-    @cached_property
+    @lazy
     def var_diff(self) -> float:
         """Var(A - B) = Var A + Var B - 2 Cov, clamped to [0, inf)."""
         return np.maximum(self.var_a + self.var_b - 2.0 * self.cov, 0.0)
@@ -314,7 +312,7 @@ class Instance:
     def __len__(self) -> int:
         return len(self.mean_a)
 
-    @cached_property
+    @lazy
     def moments(self) -> MomentSet:
         """<AB>, both variances and the covariance, per row.
 
@@ -339,39 +337,39 @@ class Instance:
             anticomm_expect=2.0 * z.real,
         )
 
-    @cached_property
+    @lazy
     def _deviations(self) -> np.ndarray:
         if not self.is_pure:
             raise MixedStateUnsupported("deviation vectors are defined for pure states only")
         return self._pair_psi - self._means[..., None] * self.vectors
 
-    @cached_property
+    @lazy
     def dev_a(self) -> np.ndarray:
         """(A - <A>) psi per row, as :func:`deviation_vector` computes it."""
         return self._deviations[0]
 
-    @cached_property
+    @lazy
     def dev_b(self) -> np.ndarray:
         return self._deviations[1]
 
-    @cached_property
+    @lazy
     def eig_devs(self) -> np.ndarray:
         """Eigenvalue deviations a_i - <A> and b_i - <B>, shape (2, rows, d)."""
         values = np.array([self.a.eigenvalues, self.b.eigenvalues]).reshape(2, -1, self.dim)
         return values - self._means[..., None]
 
-    @cached_property
+    @lazy
     def fidelities(self) -> np.ndarray:
         """<a_i|rho|a_i> and <b_i|rho|b_i> over the eigenvectors of A and B, shape (2, rows, d)."""
         bases = np.array([self.a.eigenvectors, self.b.eigenvectors]).reshape(2, -1, self.dim, self.dim)
         return _fidelities(bases, self.vectors, self.rho)
 
-    @cached_property
+    @lazy
     def sequences(self) -> SortedWeightSequences:
         (u, v), (ui, vi) = sorted_weighted(self.eig_devs, self.fidelities)
         return SortedWeightSequences(u=u, v=v, u_indices=ui, v_indices=vi)
 
-    @cached_property
+    @lazy
     def eig_scales(self) -> np.ndarray:
         """The largest eigenvalue deviations max_i |a_i - <A>| and max_i |b_i - <B>|, shape (2, rows).
 
@@ -380,7 +378,7 @@ class Instance:
         """
         return np.abs(self.eig_devs[..., [0, -1]]).max(axis=-1)
 
-    @cached_property
+    @lazy
     def frobenius_scales(self) -> np.ndarray:
         """||A - <A>||_F and ||B - <B>||_F per row, shape (2, rows) (see :func:`deviation_norm`)."""
         return deviation_norm(np.array(self._pair), self._means)

@@ -15,7 +15,8 @@ is Var A * Var B; :func:`flat_basis` is the witness that attains it.
 
 Each ``optimize_*`` function returns its witness basis, the witness's
 name and the bound evaluated there; nothing is searched.  Both witnesses
-are completed to a full basis by one Householder QR (:func:`_frame`).
+are completed to a full basis by one Householder QR (:func:`_frame`), which
+calls LAPACK through the two gufuncs behind ``np.linalg.qr``.
 :func:`product_optimum` and :func:`sum_optimum` give the same optima for
 every row of a :class:`~varbounds.moments.Instance`, with one stacked QR
 for all the aligned witnesses; a sweep's ``optimized_*`` columns call them
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from ._record import Record
 from .errors import MixedStateUnsupported
@@ -70,21 +72,31 @@ class OptimizationReport(Record):
 def _frame(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Unitary whose first two columns are u/||u|| and the unit part of v orthogonal to u.
 
-    Over leading axes: for stacks of vectors one LAPACK call factors the
-    whole stack, and each matrix is the one a single call gives.  A
-    Householder (complete) QR keeps the columns orthonormal to round-off
-    even when v is nearly parallel to u, where one Gram-Schmidt pass would
-    not.  Multiplying each of the first two columns by the phase of its R
-    diagonal entry undoes LAPACK's phase choice.
+    Needs d >= 2 (the callers handle d = 1, where [[1]] is the only
+    basis).  Over leading axes: for stacks of vectors one LAPACK call
+    factors the whole stack, and each matrix is the one a single call
+    gives.  A Householder (complete) QR keeps the columns orthonormal to
+    round-off even when v is nearly parallel to u, where one Gram-Schmidt
+    pass would not.  Multiplying each of the first two columns by the
+    phase of its R diagonal entry undoes LAPACK's phase choice.
+
+    The two gufuncs are those ``np.linalg.qr(mode="complete")`` runs, with
+    the same Q and R bits, called directly on the fresh (..., d, 2) array:
+    ``qr_r_raw`` overwrites it with R on and above the diagonal (and the
+    reflectors below it) and ``qr_complete`` forms Q.  That skips the
+    wrapper's copies, error-state contexts and ``triu``, most of its cost.
+    A failed factorization gives NaN, which the caller's orthonormality
+    check rejects.
     """
     uv = np.empty(u.shape + (2,), dtype=np.complex128)
     uv[..., 0] = u
     uv[..., 1] = v
-    q, r = np.linalg.qr(uv, mode="complete")
-    diag = r.diagonal(0, -2, -1)
+    tau = _umath_linalg.qr_r_raw(uv, signature="D->D")
+    q = _umath_linalg.qr_complete(uv, tau, signature="DD->D")
+    diag = uv.diagonal(0, -2, -1)
     mod = np.abs(diag)
     phase = np.ones(q.shape[:-1], dtype=np.complex128)
-    np.divide(diag, mod, out=phase[..., :diag.shape[-1]], where=mod != 0)
+    np.divide(diag, mod, out=phase[..., :2], where=mod != 0)
     return q * phase[..., None, :]
 
 
@@ -102,6 +114,7 @@ def aligned_basis(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     or g is numerically null the standard basis stands in.  The scale of
     all rows is one array expression: |<f|g>| is ``hypot`` of its parts, as
     Python's ``abs`` takes it, and the phase divides each part by it.
+    Needs d >= 2, as :func:`_frame` does.
     """
     d = f.shape[-1]
     rows_f, rows_g = f.reshape(-1, d), g.reshape(-1, d)

@@ -181,6 +181,8 @@ class SweepSpec(Record):
                  observables: tuple | None = None, state_family: str | None = None):
         if theta_count < 2:
             raise ConfigError("theta grid needs at least 2 points")
+        if not (math.isfinite(theta_start) and math.isfinite(theta_stop)):
+            raise ConfigError(f"theta grid needs finite ends, got {theta_start!r} to {theta_stop!r}")
         self.preset = preset
         self.theta_start = theta_start
         self.theta_stop = theta_stop

@@ -85,6 +85,17 @@ class TestParsing:
         assert_allclose(state.vector, [1.0, 0.0])
         assert_allclose(a.matrix, [[0, 1], [1, 0]])
 
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf", None])
+    def test_family_state_needs_a_finite_theta(self, theta):
+        cfg = "[state]\nfamily = qubit_bloch_fig3\n" + ("" if theta is None else f"theta = {theta}\n")
+        with pytest.raises(ConfigError, match="state family needs a finite theta value"):
+            load_instance(parse_config(cfg + "[observables]\na = pauli_x\nb = pauli_z\n"))
+
+    @pytest.mark.parametrize("key,value", [("theta_start", "nan"), ("theta_stop", "inf")])
+    def test_sweep_spec_needs_finite_theta_ends(self, key, value):
+        with pytest.raises(ConfigError, match="theta grid needs finite ends"):
+            load_sweep_spec(parse_config(SWEEP_CFG.replace("theta_count = 7", f"{key} = {value}")))
+
 
 class TestCli:
     def test_sweep_preset_csv(self, tmp_path, capsys):
@@ -199,16 +210,34 @@ class TestCli:
         assert "violation" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [("--dims", "2,x"), ("--dims", "1"), ("--dims", ","),
-                                            ("--n", "0")])
+                                            ("--n", "0"), ("--seed", "-1"), ("--seed", "x")])
     def test_bad_verify_argument_is_a_usage_error(self, capsys, monkeypatch, flag, value):
         monkeypatch.setattr(cli, "run_verification", None)  # never reached
         code, out, err = _run(["verify", flag, value], capsys)
         assert (code, out) == (2, "")
+        expected = {"--n": "an integer >= 1", "--seed": "an integer >= 0",
+                    "--dims": "integers >= 2, comma or space separated"}[flag]
         assert err.splitlines()[-1] == (
-            f"varbounds verify: error: argument {flag}: expected "
-            + ("an integer >= 1" if flag == "--n" else "integers >= 2, comma or space separated")
-            + f", got {value!r}")
+            f"varbounds verify: error: argument {flag}: expected {expected}, got {value!r}")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--preset", "fig1", "--theta-count", "3", "--theta-stop", "nan"],
+         "theta grid needs finite ends, got 0.0 to nan"),
+        (["sweep", "--preset", "fig1", "--theta-stop", "inf"],
+         "theta grid needs finite ends, got 0.0 to inf"),
+        (["sweep", "--preset", "fig2", "--theta-start=-inf"],
+         "theta grid needs finite ends, got -inf to 3.141592653589793"),
+    ], ids=["stop-nan", "stop-inf", "start-minus-inf"])
+    def test_non_finite_theta_is_a_config_error(self, capsys, argv, message):
+        assert _run(argv, capsys) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("vector,norm", [("nan 1", "nan"), ("1 nan", "nan"), ("0 0", "0.0")])
+    def test_state_vector_without_a_finite_norm_is_a_config_error(self, tmp_path, capsys, vector, norm):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(INSTANCE_CFG.replace("1+0i 0+0i", vector))
+        assert _run(["compute", "--config", str(cfg)], capsys) == (
+            2, "", f"error: state vector needs a finite, nonzero norm, got {norm}\n")
 
 
 def _run(argv, capsys):

@@ -12,10 +12,12 @@ from varbounds.linalg import (
     Observable,
     OrthonormalBasis,
     QuantumState,
+    check_orthonormal,
     eigh,
     pauli_operators,
     qubit_state_from_bloch,
     spin1_operators,
+    unit_rows,
 )
 
 
@@ -444,6 +446,24 @@ class TestStatesAndBases:
             else:
                 with pytest.raises(VarboundsError, match="eigenvalue"):
                     QuantumState.mixed(rho)
+
+    def test_nan_fails_the_norm_check(self):
+        # the checks accept err <= tol, which is False for NaN; err > tol would accept it
+        with pytest.raises(VarboundsError, match="pure state norm nan is not 1 within 1e-12"):
+            QuantumState.pure([np.nan, 1.0])
+        rows = np.array([[1.0, 0.0], [0.6, 0.8], [np.nan, 0.0]], dtype=np.complex128)
+        with pytest.raises(VarboundsError, match="norm nan"):
+            unit_rows(rows)
+        assert unit_rows(rows[:2]).tobytes() == rows[:2].tobytes()
+
+    def test_nan_fails_the_orthonormality_check(self):
+        with pytest.raises(VarboundsError, match="not orthonormal"):
+            OrthonormalBasis(np.full((2, 2), np.nan))
+        stack = np.array([np.eye(3)] * 3, dtype=np.complex128)
+        check_orthonormal(stack)
+        stack[2, 1, 0] = np.nan
+        with pytest.raises(VarboundsError, match="not orthonormal"):
+            check_orthonormal(stack)
 
     def test_basis_gram_check(self):
         with pytest.raises(VarboundsError):

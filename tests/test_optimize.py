@@ -7,8 +7,15 @@ from conftest import random_hermitian, random_observable, random_pure_state
 from oracles import scan_basis_bound_d2
 from varbounds.cli import main
 from varbounds.config import load_instance, parse_config
-from varbounds.errors import MixedStateUnsupported
-from varbounds.linalg import Observable, OrthonormalBasis, QuantumState, pauli_operators, spin1_operators
+from varbounds.errors import MixedStateUnsupported, VarboundsError
+from varbounds.linalg import (
+    Observable,
+    OrthonormalBasis,
+    QuantumState,
+    check_orthonormal,
+    pauli_operators,
+    spin1_operators,
+)
 from varbounds.lower_bounds import (
     basis_product_bound,
     basis_sum_bound,
@@ -21,6 +28,7 @@ from varbounds.moments import variance
 from varbounds.random_ensembles import gue_hermitian
 from varbounds.sweep import compute_instance
 from varbounds.optimize import (
+    _frame,
     aligned_basis,
     optimize_product_bound,
     optimize_reverse_product_bound,
@@ -64,6 +72,52 @@ class TestAlignedSeed:
             assert optimize_product_bound(s, obs_a, obs_b).best_value == pytest.approx(va * vb, rel=1e-12)
             assert optimize_sum_bound(s, obs_a, obs_b).best_value == pytest.approx(
                 0.5 * (np.sqrt(va) + np.sqrt(vb)) ** 2, rel=1e-12)
+
+
+def _hex(a):
+    return [float.hex(x) for x in np.ascontiguousarray(a).view(np.float64).ravel().tolist()]
+
+
+class TestFrame:
+    """``_frame`` calls numpy's private QR gufuncs ``_umath_linalg.qr_r_raw`` and ``qr_complete``.
+
+    They are the two calls inside ``np.linalg.qr(..., mode="complete")``, so the frame must have
+    the bits of that Q and R.  A numpy release that changes or drops them fails here.
+    """
+
+    @staticmethod
+    def expected(u, v):
+        """The frame from the public ``np.linalg.qr``: Q, with each of its first two columns
+        times the phase of R's diagonal entry."""
+        q, r = np.linalg.qr(np.stack([u, v], axis=-1), mode="complete")
+        diag = r.diagonal(0, -2, -1)
+        mod = np.abs(diag)
+        phase = np.ones(q.shape[:-1], dtype=np.complex128)
+        phase[..., :2] = np.divide(diag, mod, out=np.ones_like(diag), where=mod != 0)
+        return q * phase[..., None, :]
+
+    @pytest.mark.parametrize("shape", [(1,), (5,)], ids=["one_row", "stacked"])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_same_bits_as_numpy_qr(self, rng, d, shape):
+        u = rng.standard_normal(shape + (d,)) + 1j * rng.standard_normal(shape + (d,))
+        noise = rng.standard_normal(shape + (d,)) + 1j * rng.standard_normal(shape + (d,))
+        cases = {
+            "general": rng.standard_normal(shape + (d,)) + 1j * rng.standard_normal(shape + (d,)),
+            "nearly_parallel": (0.3 - 0.7j) * u + 1e-13 * noise,
+            "parallel": 2.0 * u,
+            "zero": np.zeros_like(u),
+        }
+        for name, v in cases.items():
+            got = _frame(u, v)
+            want = self.expected(u, v)
+            assert got.shape == shape + (d, d), name
+            assert _hex(got) == _hex(want), name
+            check_orthonormal(got)
+
+    def test_a_nan_frame_fails_the_orthonormality_check(self):
+        u = np.array([[np.nan, 1.0, 0.0]], dtype=np.complex128)
+        with np.errstate(invalid="ignore"), pytest.raises(VarboundsError, match="not orthonormal"):
+            check_orthonormal(_frame(u, u))
 
 
 class TestOptimizeProduct:

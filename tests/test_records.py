@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from varbounds._record import lazy
 from varbounds.linalg import OrthonormalBasis, QuantumState, spin1_operators
 from varbounds.lower_bounds import BoundArrays, BoundResult
 from varbounds.moments import Instance, MomentSet, SortedWeightSequences, moments
@@ -54,6 +55,7 @@ def test_repr_equality_and_hashing_follow_the_fields(cls):
     values = {name: f"<{name}>" for name in cls._fields}
     if cls is SweepSpec:
         values["theta_count"] = 5  # the grid check compares it with 2
+        values["theta_start"], values["theta_stop"] = 0.0, 1.0  # and needs finite ends
     if cls is BoundArrays:
         values["reason"] = None  # or an array of reasons, one per row
     one, two = cls(**values), cls(*values.values())
@@ -93,7 +95,7 @@ def test_moments_are_row_0_of_the_instance():
     for name in MomentSet._fields:
         got, row = getattr(one, name), getattr(rows, name)[0]
         assert type(got) is type(row.item()) and np.asarray(got).tobytes() == row.tobytes(), name
-    assert one.std_a == math.sqrt(one.var_a)  # the cached properties still work on a frozen record
+    assert one.std_a == math.sqrt(one.var_a)  # the lazy attributes still work on a frozen record
 
 
 def test_a_sweep_spec_rebuilds_from_its_dict():
@@ -129,3 +131,47 @@ def test_the_mutable_records_take_assignment():
     assert report.best_value == 2.0 and (report.evaluations, report.converged) == (0, True)
     report = VerificationReport(1, [], {}, {}, {})
     assert report.metadata == {} and report.ok
+
+
+def _lazy(cls):
+    return {name: attr for name, attr in vars(cls).items() if isinstance(attr, lazy)}
+
+
+def test_lazy_attributes_are_computed_once_per_instance(monkeypatch):
+    lazies = {**_lazy(Instance), **_lazy(MomentSet)}
+    assert set(lazies) == {"moments", "_deviations", "dev_a", "dev_b", "eig_devs", "fidelities",
+                           "sequences", "eig_scales", "frobenius_scales", "std_a", "std_b", "var_diff"}
+    calls = []
+
+    def counted(name, func):
+        def compute(obj):
+            calls.append(name)
+            return func(obj)
+        return compute
+
+    for name, attr in lazies.items():
+        monkeypatch.setattr(attr, "func", counted(name, attr.func))
+    lx, ly, _ = spin1_operators()
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    for _ in range(2):  # each new instance computes each attribute once more
+        inst = Instance(rows / np.linalg.norm(rows, axis=1, keepdims=True), lx, ly)
+        owner = {name: inst.moments if name in _lazy(MomentSet) else inst for name in lazies}
+        first = {name: getattr(owner[name], name) for name in lazies}
+        for name, value in first.items():
+            assert getattr(owner[name], name) is value, name
+    assert sorted(calls) == sorted(2 * list(lazies))
+
+
+def test_a_moment_set_refuses_assignment_before_and_after_a_lazy_read():
+    ms = MomentSet(0.0, 0.0, 4.0, 9.0, 0.0, 0j, 0.0)
+    for name in ("var_a", "std_a", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(ms, name, 1.0)
+    assert ms.std_a == 2.0 and ms.__dict__["std_a"] == 2.0
+    for name in ("var_a", "std_a"):
+        with pytest.raises(AttributeError):
+            setattr(ms, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(ms, name)
+    assert (ms.var_a, ms.std_a) == (4.0, 2.0)
