@@ -16,7 +16,10 @@ form, so none of its keys could change a result.
 
 from __future__ import annotations
 
+import cmath
 import math
+import re
+from itertools import chain
 
 import numpy as np
 
@@ -61,13 +64,21 @@ def parse_config(text: str) -> dict:
 
 
 def parse_complex(token: str) -> complex:
-    t = token.strip().replace("i", "j")
+    """One complex entry; a NaN or infinite one (``nan``, ``inf``, ``1e400``) is a config error."""
+    t = token.strip()
     if not t:
         raise ConfigError("empty complex literal")
     try:
-        return complex(t)
+        # the imaginary unit is read as "j"; the "i" of "inf" and "infinity" stays
+        z = complex(_IMAGINARY_UNIT.sub(lambda m: m[0] if len(m[0]) > 1 else "j", t))
     except ValueError:
         raise ConfigError(f"bad complex literal {token!r}") from None
+    if not cmath.isfinite(z):
+        raise ConfigError(f"complex literal {token!r} is not finite")
+    return z
+
+
+_IMAGINARY_UNIT = re.compile("inf(?:inity)?|i")
 
 
 def _entries(rows: list[str]) -> list[list[complex]]:
@@ -77,11 +88,12 @@ def _entries(rows: list[str]) -> list[list[complex]]:
     first such row wins, so every error is the one a row-by-row parse gives.
     """
     try:
-        # "i" -> "j" touches each token as parse_complex does: no separator is an "i"
+        # "i" -> "j" touches each finite token as parse_complex does: no separator is an "i", and
+        # a token it spoils ("inf" -> "jnf") is not finite, so parse_complex rejects it below
         parsed = [[complex(t) for t in r.replace("i", "j").replace(",", " ").split()] for r in rows]
     except ValueError:
         parsed = None
-    if parsed is None or not all(parsed):
+    if parsed is None or not all(parsed) or not all(map(cmath.isfinite, chain.from_iterable(parsed))):
         for r in rows:
             tokens = r.replace(",", " ").split()
             if not tokens:
@@ -143,7 +155,8 @@ def load_state(cfg: dict) -> QuantumState:
         raise ConfigError("config needs a [state] section")
     if "vector" in sec:
         v = parse_vector(sec["vector"])
-        nrm = np.linalg.norm(v)
+        with np.errstate(over="ignore"):  # an overflow to inf is rejected below, on one line
+            nrm = np.linalg.norm(v)
         if not 0.0 < nrm < math.inf:  # also NaN
             raise ConfigError(f"state vector needs a finite, nonzero norm, got {float(nrm)!r}")
         return QuantumState.pure(v / nrm)

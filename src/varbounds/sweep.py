@@ -183,6 +183,8 @@ class SweepSpec(Record):
             raise ConfigError("theta grid needs at least 2 points")
         if not (math.isfinite(theta_start) and math.isfinite(theta_stop)):
             raise ConfigError(f"theta grid needs finite ends, got {theta_start!r} to {theta_stop!r}")
+        if not math.isfinite(theta_stop - theta_start):  # the grid's step would overflow
+            raise ConfigError(f"theta grid needs a finite span, got {theta_start!r} to {theta_stop!r}")
         self.preset = preset
         self.theta_start = theta_start
         self.theta_stop = theta_stop

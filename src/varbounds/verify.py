@@ -12,7 +12,14 @@ basis-dependent checks) and tests every theorem the bound modules promise:
   with undefined fractions reported;
 * |Cov| <= Delta A Delta B, reverse factors >= 1;
 * global-phase, identity-shift, and eigenvalue-relabeling invariance on a
-  deterministic subsample.
+  deterministic subsample.  A global phase leaves a density matrix as it
+  is, so the phase check is vacuous on the mixed rows: their drift is 0 by
+  construction and is recorded without recomputing a bound.
+
+Every row's random numbers are drawn, in one fixed order (states, Wishart
+matrices, A, B, bases), so each draw keeps its values and the report its
+bytes.  Each row builds only what its checks read: a density matrix on the
+odd rows and a Haar basis on the even rows.
 
 Every value checked comes from the bound formulas the API runs.  Each
 dimension's draw becomes two :class:`~varbounds.moments.Instance` objects,
@@ -23,8 +30,9 @@ convention).  The formulas of :mod:`varbounds.lower_bounds` and
 :mod:`varbounds.upper_bounds` evaluate all rows of an instance at once, and
 their values are put back in index order before they are recorded (the
 pure-state checks run over the pure rows, in index order), so the checks,
-their counts and the order of any violations do not depend on the split.  A row has the bits of the scalar ``*_bound`` API on its own state
-and pair; a test pins that.  This module holds no moment or bound formula:
+their counts and the order of any violations do not depend on the split.
+A row has the bits of the scalar ``*_bound`` API on its own state and
+pair; a test pins that.  This module holds no moment or bound formula:
 it draws, builds instances, compares and counts.  The phase and shift
 spot-checks build instances from the transformed inputs; the relabel check
 permutes an instance's own eigenvalue deviations and fidelities.
@@ -68,10 +76,11 @@ from .lower_bounds import (
 from .moments import Instance, sorted_weighted
 from .random_ensembles import (
     RNG_NAME,
+    _complex_gaussian,
+    _phase_fixed_q,
+    _wishart,
     gue_hermitian,
     haar_state,
-    haar_unitary,
-    wishart_density_matrix,
 )
 from .upper_bounds import (
     dw_deviation_sum,
@@ -199,10 +208,11 @@ class _Accumulator:
             self.undefined_base[check] += other.undefined_base[check]
 
 
-def _interleave(pure: np.ndarray, parts) -> np.ndarray:
-    """Per-row values of the pure rows and of the mixed rows, ``parts``, back in index order."""
-    out = np.empty((len(pure),) + parts[0].shape[1:], parts[0].dtype)
-    out[pure], out[~pure] = parts
+def _interleave(parts) -> np.ndarray:
+    """Per-row values of the pure (even) rows and of the mixed (odd) rows, ``parts``, in index order."""
+    even, odd = parts
+    out = np.empty((len(even) + len(odd),) + even.shape[1:], even.dtype)
+    out[0::2], out[1::2] = even, odd
     return out
 
 
@@ -245,17 +255,16 @@ def _pure_values(inst: Instance, basis: np.ndarray) -> dict:
 
 def _verify_dimension(d: int, n: int, seed: int, acc: _Accumulator) -> dict:
     rng = np.random.default_rng([seed, d])
+    # every row's numbers are drawn, in this order, so that each draw keeps its values; a row
+    # builds only what its checks read: pure states on the even rows, density matrices on the
+    # odd ones, and a Haar basis for each pure row
+    halves = (slice(0, None, 2), slice(1, None, 2))
     psi = haar_state(rng, d, n)
-    # drawn for every row, so that the later draws keep their values; the odd rows are mixed
-    rho = wishart_density_matrix(rng, d, n)[1::2].copy()
+    rho = _wishart(_complex_gaussian(rng, (n, d, d))[halves[1]])
     # GUE draws are exactly Hermitian, so the validated matrices keep their bits
     a = Observable(gue_hermitian(rng, d, n))
     b = Observable(gue_hermitian(rng, d, n))
-    basis = haar_unitary(rng, d, n)
-
-    halves = (slice(0, None, 2), slice(1, None, 2))  # pure states on the even rows
-    pure = np.zeros(n, dtype=bool)
-    pure[halves[0]] = True
+    basis = _phase_fixed_q(_complex_gaussian(rng, (n, d, d))[halves[0]])
 
     def digest(idx: int) -> str:
         # imported here: digests are made only for violations, and hashlib loads OpenSSL
@@ -263,15 +272,13 @@ def _verify_dimension(d: int, n: int, seed: int, acc: _Accumulator) -> dict:
 
         h = hashlib.sha256()
         h.update(np.int64([d, idx]).tobytes())
-        h.update(psi[idx].tobytes() if pure[idx] else rho[idx // 2].tobytes())
+        h.update(rho[idx // 2].tobytes() if idx % 2 else psi[idx].tobytes())
         h.update(a.matrix[idx].tobytes())
         h.update(b.matrix[idx].tobytes())
         return h.hexdigest()[:16]
 
-    index = np.flatnonzero(pure)
-
     def pure_digest(j: int) -> str:
-        return digest(int(index[j]))
+        return digest(2 * j)
 
     # one instance of the pure rows and one of the mixed rows; each observable stack is
     # diagonalized in one call, and its halves are views that share the spectrum
@@ -280,9 +287,9 @@ def _verify_dimension(d: int, n: int, seed: int, acc: _Accumulator) -> dict:
     states = [psi[halves[0]], rho]
     insts = [Instance(s, x, y) for s, x, y in zip(states, obs_a, obs_b)]
     parts = [_row_values(inst) for inst in insts]
-    v = {key: _interleave(pure, [part[key] for part in parts]) for key in parts[0]}
-    pv = _pure_values(insts[0], basis[halves[0]])  # over the pure rows, in index order
-    every, on_pure = np.ones(n, dtype=bool), np.ones(len(index), dtype=bool)
+    v = {key: _interleave([part[key] for part in parts]) for key in parts[0]}
+    pv = _pure_values(insts[0], basis)  # over the pure rows, in index order
+    every, on_pure = np.ones(n, dtype=bool), np.ones(len(basis), dtype=bool)
     product, total, rev_ok, dw_ok = v["product"], v["total"], v["reverse_defined"], v["dw_defined"]
 
     acc.count_undefined("upper_reverse_fidelity_product", rev_ok, every)
@@ -304,7 +311,7 @@ def _verify_dimension(d: int, n: int, seed: int, acc: _Accumulator) -> dict:
     ):
         acc.record(check, slack, mask, digest)
 
-    rs, product, total = v["rs"][pure], product[pure], total[pure]
+    rs, product, total = parts[0]["rs"], parts[0]["product"], parts[0]["total"]
     for check, slack, mask in (
         ("chain_basis_ge_rs", rs - pv["basis_product"], on_pure),
         ("valid_basis_product", pv["basis_product"] - product, on_pure),
@@ -321,20 +328,30 @@ def _verify_dimension(d: int, n: int, seed: int, acc: _Accumulator) -> dict:
     # --- invariance spot-checks on the first k rows -------------------------
     # they are the first rows of each half, cuts[0] pure and cuts[1] mixed
     k = min(SUBSET, n)
-    first = pure[:k]
-    cuts = (int(first.sum()), int((~first).sum()))
+    cuts = ((k + 1) // 2, k // 2)
     sub_states = [x[:c] for x, c in zip(states, cuts)]
     sub_b = [x[:c] for x, c in zip(obs_b, cuts)]
 
-    def drift(rebuilt) -> np.ndarray:
-        """How far the fidelity bounds of the first k rows move in instances of transformed inputs."""
-        fid = _interleave(first, [fidelity_product(x).value[:c] for x, c in zip(rebuilt, cuts)])
-        par = _interleave(first, [parallelogram_sum(x).value[:c] for x, c in zip(rebuilt, cuts)])
-        return np.maximum(np.abs(fid - v["fidelity_product"][:k]), np.abs(par - v["parallelogram_sum"][:k]))
+    def drift(moved) -> np.ndarray:
+        """How far the fidelity bounds of the first k rows move under a transform of the inputs.
 
-    # a global phase changes a state vector and leaves a density matrix as it is,
-    # so the mixed rows keep their instance
-    phased = [Instance(sub_states[0] * np.exp(0.7j), obs_a[0][:cuts[0]], sub_b[0]), insts[1]]
+        ``moved`` holds, for each half, an instance of the transformed inputs,
+        or None where the transform leaves the inputs as they are, so that the
+        bounds do not move.
+        """
+        out = []
+        for inst, part, c in zip(moved, parts, cuts):
+            if inst is None:
+                out.append(np.zeros(c))
+                continue
+            fid = np.abs(fidelity_product(inst).value[:c] - part["fidelity_product"][:c])
+            par = np.abs(parallelogram_sum(inst).value[:c] - part["parallelogram_sum"][:c])
+            out.append(np.maximum(fid, par))
+        return _interleave(out)
+
+    # a global phase changes a state vector and leaves a density matrix as it is, so the
+    # check is vacuous on the mixed rows
+    phased = [Instance(sub_states[0] * np.exp(0.7j), obs_a[0][:cuts[0]], sub_b[0]), None]
     a_shifted = a[:k].shifted(0.37)
     a_shifted.eigenvectors  # one call for both halves
     shifted = [Instance(x, a_shifted[h], y) for x, h, y in zip(sub_states, halves, sub_b)]
@@ -345,11 +362,13 @@ def _verify_dimension(d: int, n: int, seed: int, acc: _Accumulator) -> dict:
         relabel.append(np.abs(u - inst.sequences.u[:c]).max(axis=1))
     on_first = np.ones(k, dtype=bool)
     for check, drifted in (("phase_invariance", drift(phased)), ("shift_invariance", drift(shifted)),
-                           ("relabel_invariance", _interleave(first, relabel))):
+                           ("relabel_invariance", _interleave(relabel))):
         acc.record(check, drifted - INVARIANCE_TOL, on_first, digest, tol=0.0)
 
     # the inputs and the values checked, exposed so tests can pin them to the scalar API:
-    # ``rho`` and the pure-state values have one entry per row of their half, the others one per row
+    # ``rho``, ``basis`` and the pure-state values have one entry per row of their half, the
+    # others one per row
+    pure = np.arange(n) % 2 == 0
     return {"pure": pure, "psi": psi, "rho": rho, "a": a.matrix, "b": b.matrix, "basis": basis, **v, **pv}
 
 

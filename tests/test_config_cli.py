@@ -1,5 +1,9 @@
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +99,13 @@ class TestParsing:
     def test_sweep_spec_needs_finite_theta_ends(self, key, value):
         with pytest.raises(ConfigError, match="theta grid needs finite ends"):
             load_sweep_spec(parse_config(SWEEP_CFG.replace("theta_count = 7", f"{key} = {value}")))
+
+    def test_sweep_spec_needs_a_finite_theta_span(self):
+        # both ends are finite, but the grid's step overflows
+        ends = "theta_start = -1e308\ntheta_stop = 1e308"
+        with pytest.raises(ConfigError) as exc:
+            load_sweep_spec(parse_config(SWEEP_CFG.replace("theta_count = 7", ends)))
+        assert str(exc.value) == "theta grid needs a finite span, got -1e+308 to 1e+308"
 
 
 class TestCli:
@@ -228,16 +239,46 @@ class TestCli:
          "theta grid needs finite ends, got 0.0 to inf"),
         (["sweep", "--preset", "fig2", "--theta-start=-inf"],
          "theta grid needs finite ends, got -inf to 3.141592653589793"),
-    ], ids=["stop-nan", "stop-inf", "start-minus-inf"])
+        (["sweep", "--preset", "fig1", "--theta-count", "3", "--theta-start=-1e308", "--theta-stop", "1e308"],
+         "theta grid needs a finite span, got -1e+308 to 1e+308"),
+    ], ids=["stop-nan", "stop-inf", "start-minus-inf", "span-overflows"])
     def test_non_finite_theta_is_a_config_error(self, capsys, argv, message):
         assert _run(argv, capsys) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("vector,norm", [("nan 1", "nan"), ("1 nan", "nan"), ("0 0", "0.0")])
-    def test_state_vector_without_a_finite_norm_is_a_config_error(self, tmp_path, capsys, vector, norm):
+    # a NaN entry is rejected by the literal parser, before the norm is taken
+    @pytest.mark.parametrize("vector,message", [
+        ("nan 1", "complex literal 'nan' is not finite"),
+        ("1 nan", "complex literal 'nan' is not finite"),
+        ("0 0", "state vector needs a finite, nonzero norm, got 0.0"),
+        ("1e200 1", "state vector needs a finite, nonzero norm, got inf"),
+    ], ids=["nan 1-nan", "1 nan-nan", "0 0-0.0", "1e200 1-inf"])
+    def test_state_vector_without_a_finite_norm_is_a_config_error(self, tmp_path, capsys, vector, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(INSTANCE_CFG.replace("1+0i 0+0i", vector))
+        assert _run(["compute", "--config", str(cfg)], capsys) == (2, "", f"error: {message}\n")
+
+    def test_overflowing_state_vector_prints_one_line(self, tmp_path):
+        # the norm of 1e200 overflows; the config error is the only line on stderr, with no
+        # RuntimeWarning before it
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(INSTANCE_CFG.replace("1+0i 0+0i", "1e200 1"))
+        proc = subprocess.run([sys.executable, "-m", "varbounds", "compute", "--config", str(cfg)],
+                              capture_output=True, text=True, env=_child_env())
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: state vector needs a finite, nonzero norm, got inf\n"
+
+    @pytest.mark.parametrize("token", ["nan", "nanj", "1e400", "inf", "-inf", "1+infi"])
+    @pytest.mark.parametrize("where", ["vector", "rho", "matrix"])
+    def test_non_finite_literal_is_a_config_error(self, tmp_path, capsys, where, token):
+        text = {
+            "vector": INSTANCE_CFG.replace("1+0i 0+0i", f"1 {token}"),
+            "rho": INSTANCE_CFG.replace("vector = 1+0i 0+0i", f"rho = 1 0; 0 {token}"),
+            "matrix": INSTANCE_CFG.replace("b = pauli_y", f"b = 1 0; 0 {token}"),
+        }[where]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
         assert _run(["compute", "--config", str(cfg)], capsys) == (
-            2, "", f"error: state vector needs a finite, nonzero norm, got {norm}\n")
+            2, "", f"error: complex literal {token!r} is not finite\n")
 
 
 def _run(argv, capsys):
@@ -248,6 +289,12 @@ def _run(argv, capsys):
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _child_env() -> dict:
+    """The environment of a new process that imports this checkout's varbounds."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 def _run_fresh(argv, capsys, monkeypatch):

@@ -84,7 +84,11 @@ BAD_LITERALS = [
     ("x; ,", "bad complex literal 'x'", "bad complex literal 'x;'"),
     (", ; x", "empty vector literal", "bad complex literal ';'"),
     ("1 2; 3 4 y; ,", "bad complex literal 'y'", "bad complex literal '2;'"),
-    ("inf", "bad complex literal 'inf'", "bad complex literal 'inf'"),
+    ("inf", "complex literal 'inf' is not finite", "complex literal 'inf' is not finite"),
+    ("1 nan; 2 3", "complex literal 'nan' is not finite", "bad complex literal 'nan;'"),
+    ("2 3; 1 nan", "complex literal 'nan' is not finite", "bad complex literal '3;'"),
+    ("1 2; 1e400 x", "complex literal '1e400' is not finite", "bad complex literal '2;'"),
+    ("1 x; 1+infi 2", "bad complex literal 'x'", "bad complex literal 'x;'"),
     ("1+2I", "bad complex literal '1+2I'", "bad complex literal '1+2I'"),
     ("1+-2i", "bad complex literal '1+-2i'", "bad complex literal '1+-2i'"),
 ]

@@ -111,7 +111,7 @@ def _check_engine_against_scalar_api(d):
             assert _bits(rev.intermediates["omega"]) == _bits(data["omega"][i])
 
         if data["pure"][i]:
-            basis = OrthonormalBasis(data["basis"][i])
+            basis = OrthonormalBasis(data["basis"][half_row])
             rb = reverse_basis_product_bound(state, a, b, basis)
             assert rb.defined == data["reverse_basis_defined"][half_row]
             for key, res in {
